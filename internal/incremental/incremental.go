@@ -115,6 +115,14 @@ type Field struct {
 	// then run the word-granularity frontier over them. Nil otherwise.
 	ubits, ebits *simnet.BitField
 
+	// Packed publish planes — unsafe, enabled, faulty — kept current by
+	// every label and fault write on every engine, each with the pages
+	// written since the last Freeze. On the bitset path the two label
+	// planes are the BitFields' own grids, so nothing is stored twice.
+	pu, pe, pf *plane
+	// frozen is the last Freeze result, whose pages the next one shares.
+	frozen Planes
+
 	// pool is the worker pool the full formation runs fan out over; nil
 	// when the configuration runs single-tile. Released by Close.
 	pool *simnet.WorkerPool
@@ -174,6 +182,7 @@ func New(topo *mesh.Topology, faults *grid.PointSet, cfg Config) (*Field, error)
 			return nil, err
 		}
 	}
+	f.initPlanes()
 	return f, nil
 }
 
@@ -231,6 +240,7 @@ func Load(topo *mesh.Topology, faults *grid.PointSet, cfg Config, unsafe, enable
 			return nil, err
 		}
 	}
+	f.initPlanes()
 	return f, nil
 }
 
@@ -302,8 +312,9 @@ func (f *Field) runFull(env *simnet.Env, rule simnet.Rule, phase string) (*simne
 // word-granularity engine when bits is non-nil (the []bool mirror is
 // re-synced from the changed set afterwards, keeping both views
 // identical in O(changed)), else over the node-granularity engine,
-// fanning waves out over the configured worker count.
-func (f *Field) runFrontier(env *simnet.Env, rule simnet.Rule, labels []bool, bits *simnet.BitField, seed []int, phase string) (*simnet.FrontierResult, error) {
+// fanning waves out over the configured worker count. Either way the
+// changed set also lands in the publish plane pl.
+func (f *Field) runFrontier(env *simnet.Env, rule simnet.Rule, labels []bool, bits *simnet.BitField, pl *plane, seed []int, phase string) (*simnet.FrontierResult, error) {
 	pc := f.newPhase(phase)
 	opt := f.genericOpts(phase, pc)
 	var (
@@ -321,9 +332,12 @@ func (f *Field) runFrontier(env *simnet.Env, rule simnet.Rule, labels []bool, bi
 	if err != nil {
 		return nil, err
 	}
-	if bits != nil {
-		for _, i := range res.Changed {
-			labels[i] = bits.Label(i)
+	for _, i := range res.Changed {
+		if bits != nil {
+			labels[i] = bits.Label(i) // the packed plane is bits' own grid
+			pl.touch(i)
+		} else {
+			pl.set(i, labels[i])
 		}
 	}
 	pc.Finish()
@@ -333,30 +347,106 @@ func (f *Field) runFrontier(env *simnet.Env, rule simnet.Rule, labels []bool, bi
 	return res, nil
 }
 
-// setUnsafe / setEnabled write one label to the []bool field and, when
-// the bitset churn path is active, its packed mirror (which also lands
-// the word in the mirror's dirty set for the next run's worklist).
+// setUnsafe / setEnabled write one label to the []bool field and its
+// packed publish plane. On the bitset churn path that plane is the
+// BitField's grid, so the write also lands the word in the BitField's
+// dirty set for the next run's worklist.
 func (f *Field) setUnsafe(i int, v bool) {
 	f.unsafe[i] = v
-	if f.ubits != nil {
-		f.ubits.SetLabel(i, v)
-	}
+	f.pu.set(i, v)
 }
 
 func (f *Field) setEnabled(i int, v bool) {
 	f.enabled[i] = v
-	if f.ebits != nil {
-		f.ebits.SetLabel(i, v)
-	}
+	f.pe.set(i, v)
 }
 
-// setFault flips node i's liveness in both packed mirrors (faulty lanes
-// are pinned at their current label). No-op on the node path.
+// setFault records node i's fault state in the fault plane and flips
+// its liveness in both BitFields (faulty lanes are pinned at their
+// current label).
 func (f *Field) setFault(i int, faulty bool) {
+	f.pf.set(i, faulty)
 	if f.ubits != nil {
 		f.ubits.SetLive(i, !faulty)
 		f.ebits.SetLive(i, !faulty)
 	}
+}
+
+// plane is one packed publish plane: a grid.BitGrid plus the set of
+// pages written since the last Freeze.
+type plane struct {
+	bits  *grid.BitGrid
+	dirty *grid.WordSet
+	w     int
+}
+
+func newPlane(bits *grid.BitGrid) *plane {
+	return &plane{bits: bits, dirty: grid.NewWordSet(bits.PageCount()), w: bits.Width()}
+}
+
+// set writes node i's bit and marks its page dirty when the bit flips.
+func (p *plane) set(i int, v bool) {
+	x, y := i%p.w, i/p.w
+	if p.bits.Get(x, y) != v {
+		p.bits.Set(x, y, v)
+		p.touch(i)
+	}
+}
+
+// touch marks the page holding node i dirty.
+func (p *plane) touch(i int) {
+	x, y := i%p.w, i/p.w
+	p.dirty.Add(grid.PageOf(y*p.bits.WordsPerRow() + x/64))
+}
+
+// freeze returns the plane's paged snapshot, sharing every clean page
+// with prev, and starts a new dirty epoch.
+func (p *plane) freeze(prev *grid.PagedBits) *grid.PagedBits {
+	if prev != nil && p.dirty.Len() == 0 {
+		return prev
+	}
+	out := p.bits.Freeze(prev, p.dirty)
+	p.dirty.Clear()
+	return out
+}
+
+// initPlanes builds the publish planes from the field's current labels
+// and faults. The bitset path adopts the BitFields' label grids.
+func (f *Field) initPlanes() {
+	w, h := f.topo.Width(), f.topo.Height()
+	packed := func(bits *simnet.BitField, labels []bool) *grid.BitGrid {
+		if bits != nil {
+			return bits.Grid()
+		}
+		g := grid.NewBitGrid(w, h)
+		g.SetBools(labels)
+		return g
+	}
+	f.pu = newPlane(packed(f.ubits, f.unsafe))
+	f.pe = newPlane(packed(f.ebits, f.enabled))
+	faulty := grid.NewBitGrid(w, h)
+	f.faults.Each(func(p grid.Point) { faulty.Set(p.X, p.Y, true) })
+	f.pf = newPlane(faulty)
+}
+
+// Planes is an immutable paged snapshot of a field's packed planes: the
+// phase-1 unsafe labels, the phase-2 enabled labels and the fault set,
+// each in the grid.BitGrid word layout.
+type Planes struct {
+	Unsafe, Enabled, Faulty *grid.PagedBits
+}
+
+// Freeze snapshots the packed planes. Only pages written since the
+// previous Freeze are copied; every other page is shared with it, so a
+// single-point delta publishes in O(changed pages) plus one page-table
+// copy per plane. The returned pages are never written again.
+func (f *Field) Freeze() Planes {
+	f.frozen = Planes{
+		Unsafe:  f.pu.freeze(f.frozen.Unsafe),
+		Enabled: f.pe.freeze(f.frozen.Enabled),
+		Faulty:  f.pf.freeze(f.frozen.Faulty),
+	}
+	return f.frozen
 }
 
 // Topo returns the machine.
@@ -432,7 +522,7 @@ func (f *Field) Add(ps ...grid.Point) (Delta, error) {
 	}
 	f.seed = seed
 	d.Frontier = len(seed)
-	fr1, err := f.runFrontier(env, status.UnsafeRule(f.cfg.Safety), f.unsafe, f.ubits, seed, "phase1")
+	fr1, err := f.runFrontier(env, status.UnsafeRule(f.cfg.Safety), f.unsafe, f.ubits, f.pu, seed, "phase1")
 	if err != nil {
 		return Delta{}, fmt.Errorf("incremental: phase 1: %w", err)
 	}
@@ -507,7 +597,7 @@ func (f *Field) Remove(ps ...grid.Point) (Delta, error) {
 	})
 	f.seed = seed
 	d.Frontier = len(seed)
-	fr1, err := f.runFrontier(env, status.UnsafeRule(f.cfg.Safety), f.unsafe, f.ubits, seed, "phase1")
+	fr1, err := f.runFrontier(env, status.UnsafeRule(f.cfg.Safety), f.unsafe, f.ubits, f.pu, seed, "phase1")
 	if err != nil {
 		return Delta{}, fmt.Errorf("incremental: phase 1: %w", err)
 	}
@@ -573,7 +663,7 @@ func (f *Field) recomputeEnabled(area *grid.PointSet) (changed, rounds int, err 
 	})
 	f.areaPts, f.areaBefore, f.seed = pts, before, seed
 	env := &simnet.Env{Topo: f.topo, Faulty: f.faults, Aux: f.unsafe}
-	fr, err := f.runFrontier(env, status.EnabledRule(), f.enabled, f.ebits, seed, "phase2")
+	fr, err := f.runFrontier(env, status.EnabledRule(), f.enabled, f.ebits, f.pe, seed, "phase2")
 	if err != nil {
 		return 0, 0, fmt.Errorf("incremental: phase 2: %w", err)
 	}

@@ -1,7 +1,9 @@
 package mesh
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"ocpmesh/internal/grid"
 )
@@ -30,6 +32,10 @@ func (k Kind) String() string {
 	}
 }
 
+// ErrTooLarge reports dimensions whose node count Width*Height does not
+// fit in an int: node indexes (Index) would wrap.
+var ErrTooLarge = errors.New("mesh: node count overflows int")
+
 // Topology describes a Width x Height 2-D mesh or torus.
 type Topology struct {
 	width, height int
@@ -42,6 +48,9 @@ type Topology struct {
 func New(width, height int, kind Kind) (*Topology, error) {
 	if width < 1 || height < 1 {
 		return nil, fmt.Errorf("mesh: dimensions must be positive, got %dx%d", width, height)
+	}
+	if width > math.MaxInt/height {
+		return nil, fmt.Errorf("%w: %dx%d", ErrTooLarge, width, height)
 	}
 	if kind != Mesh2D && kind != Torus2D {
 		return nil, fmt.Errorf("mesh: unknown kind %d", int(kind))

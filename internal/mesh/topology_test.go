@@ -1,6 +1,8 @@
 package mesh
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +24,14 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(1, 1, Mesh2D); err != nil {
 		t.Fatalf("1x1 mesh should be legal: %v", err)
+	}
+	// The node count 2^64 wraps to 0 in int arithmetic; it must be a
+	// typed error, not a topology whose Size is 0.
+	if _, err := New(1<<32, 1<<32, Mesh2D); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("overflowing dimensions: err %v, want ErrTooLarge", err)
+	}
+	if _, err := New(math.MaxInt, 2, Torus2D); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("overflowing torus: err %v, want ErrTooLarge", err)
 	}
 }
 

@@ -64,6 +64,11 @@ func (r *Region) canonical() grid.Point {
 	return r.min
 }
 
+// Canonical returns the region's row-major minimal node, the key region
+// lists are ordered by (FaultyBlocks, DisabledRegions, UpdateRegions).
+// Within one list the keys are distinct, since regions are disjoint.
+func (r *Region) Canonical() grid.Point { return r.canonical() }
+
 // Bounds returns the bounding rectangle of the region.
 func (r *Region) Bounds() grid.Rect { return r.Nodes.Bounds() }
 
@@ -233,7 +238,9 @@ func UpdateRegions(topo *mesh.Topology, faults *grid.PointSet, labels []bool, wa
 		var cb grid.Rect
 		comp, queue, cb = component(topo, labels, want, neighbors, start, seen, queue)
 		hot = hot.Include(grid.Pt(cb.MinX, cb.MinY)).Include(grid.Pt(cb.MaxX, cb.MaxY))
-		fresh = append(fresh, &Region{Nodes: comp, Faults: regionFaults(comp, faults)})
+		reg := &Region{Nodes: comp, Faults: regionFaults(comp, faults)}
+		reg.canonical() // memoize now: published regions are never written again
+		fresh = append(fresh, reg)
 	})
 	// Only the handful of fresh components need sorting: old is already
 	// in canonical order (this function's own postcondition), and a

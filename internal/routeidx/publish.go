@@ -22,9 +22,9 @@ type Published struct {
 // anywhere.
 func Publish(s *core.Session, model routing.Model, opt Options) *Published {
 	p := &Published{}
-	p.ptr.Store(Compile(s.Result(), model, opt))
+	p.ptr.Store(Compile(s.View(), model, opt))
 	s.OnDelta(func(core.Delta) {
-		p.ptr.Store(p.ptr.Load().Rebuild(s.Result()))
+		p.ptr.Store(p.ptr.Load().Rebuild(s.View()))
 	})
 	return p
 }

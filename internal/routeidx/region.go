@@ -59,7 +59,6 @@ func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
 		cells:  cells,
 		bounds: cells.Bounds(),
 		size:   cells.Len(),
-		pos:    make(map[ringStep]ringPos),
 	}
 	pts := cells.Points()
 	grid.SortPoints(pts) // row-major: y, then x
@@ -100,6 +99,7 @@ func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
 	// follow it (Detour does the same), so the budget covers the border
 	// circumference as well as the region shell.
 	budget := 8*r.size + 8*(topo.Width()+topo.Height()) + 64
+	var starts []ringStep
 	for _, b := range pts {
 		for _, d := range mesh.Directions {
 			c, ok := topo.NeighborIn(b, d)
@@ -107,8 +107,15 @@ func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
 				continue
 			}
 			blocked := d.Opposite() // the greedy step c -> b that got blocked
-			r.trace(topo, ringStep{p: c, h: routing.TurnLeft(blocked)}, budget)
+			starts = append(starts, ringStep{p: c, h: routing.TurnLeft(blocked)})
 		}
+	}
+	// The rings visit about one state per wall-entry state, so both maps
+	// are sized once instead of growing through rehashes.
+	r.pos = make(map[ringStep]ringPos, len(starts))
+	seen := make(map[ringStep]int32, len(starts))
+	for _, st := range starts {
+		r.trace(topo, st, budget, seen)
 	}
 
 	cornerSet := grid.NewPointSet()
@@ -129,12 +136,12 @@ func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
 // the trajectory closes into a cycle, merges into an already-registered
 // cycle, or exhausts the budget. Only the cyclic part is registered:
 // ring following relies on modular successor arithmetic, which is
-// meaningless for tail states.
-func (r *regionIdx) trace(topo *mesh.Topology, start ringStep, budget int) {
+// meaningless for tail states. seen is scratch shared across calls.
+func (r *regionIdx) trace(topo *mesh.Topology, start ringStep, budget int, seen map[ringStep]int32) {
 	if _, ok := r.pos[start]; ok {
 		return
 	}
-	seen := make(map[ringStep]int32)
+	clear(seen)
 	var traj []ringStep
 	st := start
 	for len(traj) <= budget {
@@ -194,7 +201,7 @@ func (ix *Index) DetourCosts(b grid.Point, from, to grid.Point, fromHeading, toH
 		return 0, 0, false
 	}
 	var rp *regionIdx
-	for _, s := range ix.rows[b.Y] {
+	for _, s := range ix.rows.at(b.Y) {
 		if int(s.lo) <= b.X && b.X <= int(s.hi) {
 			rp = s.reg
 			break
@@ -218,7 +225,7 @@ func (ix *Index) Corners(b grid.Point) []grid.Point {
 	if b.Y < 0 || b.Y >= ix.h {
 		return nil
 	}
-	for _, s := range ix.rows[b.Y] {
+	for _, s := range ix.rows.at(b.Y) {
 		if int(s.lo) <= b.X && b.X <= int(s.hi) {
 			return s.reg.corners
 		}

@@ -254,7 +254,7 @@ func (ix *Index) emit(path routing.Path, cur grid.Point, d mesh.Direction, count
 // regionAt returns the compiled region owning obstacle cell p, nil for
 // allowed cells — one binary search on p's row table.
 func (ix *Index) regionAt(p grid.Point) *regionIdx {
-	spans := ix.rows[p.Y]
+	spans := ix.rows.at(p.Y)
 	i := sort.Search(len(spans), func(i int) bool { return int(spans[i].hi) >= p.X })
 	if i < len(spans) && int(spans[i].lo) <= p.X {
 		return spans[i].reg
@@ -275,10 +275,10 @@ func (ix *Index) firstBlocked(cur grid.Point, d mesh.Direction, segLen int) (int
 	var from, size int
 	switch d {
 	case mesh.East, mesh.West:
-		spans = ix.rows[cur.Y]
+		spans = ix.rows.at(cur.Y)
 		from, size = cur.X, ix.w
 	default:
-		spans = ix.cols[cur.X]
+		spans = ix.cols.at(cur.X)
 		from, size = cur.Y, ix.h
 	}
 	if len(spans) == 0 {

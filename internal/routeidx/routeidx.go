@@ -37,12 +37,15 @@
 // the per-region compilation of every region whose *region.Region
 // pointer survived the delta — region.UpdateRegions keeps survivor
 // pointers, and a region's compilation depends only on its own cells —
-// so steady-state delta cost is O(changed regions) plus reassembling the
-// interval tables of the rows and columns those regions touch.
+// so steady-state delta cost is O(changed regions): one pointer merge
+// over the canonically ordered region lists, the fresh regions'
+// compilation, and reassembling only the rows and columns the changed
+// regions cover from the previous tables.
 package routeidx
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -88,39 +91,61 @@ type span struct {
 // Index is an immutable routing index over one formation result. All
 // methods are safe for concurrent use; queries take no locks.
 type Index struct {
-	res     *core.Result
+	res     core.Formation
 	topo    *mesh.Topology
 	model   routing.Model
 	opt     Options
+	metrics *buildMetrics
 	maxHops int
 	w, h    int
 	torus   bool
 	allow   func(grid.Point) bool
 	regs    []*regionIdx
 	srcs    []*region.Region // parallel to regs; nil for synthetic fault components
-	rows    [][]span         // rows[y]: forbidden x spans, sorted by lo
-	cols    [][]span         // cols[x]: forbidden y spans, sorted by lo
+	rows    spanTable        // rows.at(y): forbidden x spans, sorted by lo
+	cols    spanTable        // cols.at(x): forbidden y spans, sorted by lo
 	stats   Stats
 }
 
+// buildMetrics holds the route_index_* metric handles, resolved once at
+// Compile and shared by every Rebuild descending from it, so a rebuild
+// never takes the registry's name-lookup lock. Nil without a recorder.
+type buildMetrics struct {
+	builds, compiled, reused *obs.Counter
+	buildNS                  *obs.Histogram
+}
+
+func newBuildMetrics(rec *obs.Recorder) *buildMetrics {
+	if rec == nil {
+		return nil
+	}
+	return &buildMetrics{
+		builds:   rec.Counter("route_index_builds"),
+		compiled: rec.Counter("route_index_regions_compiled"),
+		reused:   rec.Counter("route_index_regions_reused"),
+		buildNS:  rec.Histogram("route_index_build_ns", obs.NSBuckets),
+	}
+}
+
 // Compile builds the index for res under the given fault model.
-func Compile(res *core.Result, model routing.Model, opt Options) *Index {
-	return build(nil, res, model, opt)
+func Compile(res core.Formation, model routing.Model, opt Options) *Index {
+	return build(nil, res, model, opt, newBuildMetrics(opt.Recorder))
 }
 
 // Rebuild compiles an index for a new result incrementally: regions
 // whose *region.Region pointer is shared with the previous result —
 // i.e. whose label sets did not change across the delta — keep their
-// compiled form. res must come from the same session (same topology) as
-// the previous index's result. Under ModelFaultsOnly obstacles are
-// synthesized fault components with no stable pointers, so Rebuild
-// degrades to a full recompile.
-func (ix *Index) Rebuild(res *core.Result) *Index {
-	return build(ix, res, ix.model, ix.opt)
+// compiled form, and only the interval-table rows and columns the
+// changed regions cover are reassembled. res must come from the same
+// session (same topology) as the previous index's result. Under
+// ModelFaultsOnly obstacles are synthesized fault components with no
+// stable pointers, so Rebuild degrades to a full recompile.
+func (ix *Index) Rebuild(res core.Formation) *Index {
+	return build(ix, res, ix.model, ix.opt, ix.metrics)
 }
 
-// Result returns the formation result the index was compiled for.
-func (ix *Index) Result() *core.Result { return ix.res }
+// Result returns the formation the index was compiled for.
+func (ix *Index) Result() core.Formation { return ix.res }
 
 // Model returns the fault model the index routes under.
 func (ix *Index) Model() routing.Model { return ix.model }
@@ -128,45 +153,24 @@ func (ix *Index) Model() routing.Model { return ix.model }
 // Stats returns the compile/reuse accounting of the last build.
 func (ix *Index) Stats() Stats { return ix.stats }
 
-func build(prev *Index, res *core.Result, model routing.Model, opt Options) *Index {
+func build(prev *Index, res core.Formation, model routing.Model, opt Options, m *buildMetrics) *Index {
 	start := time.Now()
-	topo := res.Topo
+	topo := res.Topology()
 	maxHops := opt.MaxHops
 	if maxHops == 0 {
 		maxHops = 4 * topo.Size()
 	}
 	ix := &Index{
-		res: res, topo: topo, model: model, opt: opt, maxHops: maxHops,
+		res: res, topo: topo, model: model, opt: opt, metrics: m, maxHops: maxHops,
 		w: topo.Width(), h: topo.Height(), torus: topo.Kind() == mesh.Torus2D,
+		allow: model.Predicate(res),
 	}
-	ix.allow = allowFunc(res, model)
-
-	obstacles, srcs := obstaclesOf(res, model)
-	var prevByRegion map[*region.Region]*regionIdx
-	if prev != nil && len(prev.srcs) > 0 {
-		prevByRegion = make(map[*region.Region]*regionIdx, len(prev.srcs))
-		for i, src := range prev.srcs {
-			if src != nil {
-				prevByRegion[src] = prev.regs[i]
-			}
-		}
+	srcs, stable := sourcesOf(res, model)
+	if prev != nil && stable && prev.w == ix.w && prev.h == ix.h {
+		ix.rebuildFrom(prev, srcs)
+	} else {
+		ix.compileAll(srcs, stable)
 	}
-	carried := make(map[*regionIdx]bool, len(obstacles))
-	ix.stats.Regions = len(obstacles)
-	for i, cells := range obstacles {
-		var rp *regionIdx
-		if src := srcs[i]; src != nil && prevByRegion[src] != nil {
-			rp = prevByRegion[src]
-			carried[rp] = true
-			ix.stats.Reused++
-		} else {
-			rp = compileRegion(topo, cells)
-			ix.stats.Compiled++
-		}
-		ix.regs = append(ix.regs, rp)
-		ix.srcs = append(ix.srcs, srcs[i])
-	}
-	ix.buildTables(prev, carried)
 
 	if rec := opt.Recorder; rec != nil {
 		dur := time.Since(start).Nanoseconds()
@@ -174,130 +178,186 @@ func build(prev *Index, res *core.Result, model routing.Model, opt Options) *Ind
 			Type: obs.ERouteIndex, Tenant: opt.Tenant, N: ix.stats.Regions,
 			Changed: ix.stats.Compiled, Frontier: ix.stats.Reused, DurNS: dur,
 		})
-		rec.Counter("route_index_builds").Inc()
-		rec.Counter("route_index_regions_compiled").Add(int64(ix.stats.Compiled))
-		rec.Counter("route_index_regions_reused").Add(int64(ix.stats.Reused))
-		rec.Histogram("route_index_build_ns", obs.NSBuckets).Observe(float64(dur))
+		m.builds.Inc()
+		m.compiled.Add(int64(ix.stats.Compiled))
+		m.reused.Add(int64(ix.stats.Reused))
+		m.buildNS.Observe(float64(dur))
 	}
 	return ix
 }
 
-// buildTables assembles the global row/column interval tables. On an
-// incremental build only the rows and columns touched by a changed
-// region — compiled this round, or present before and gone now — are
-// reassembled; every other row's span slice is shared with the previous
-// index, which is what keeps steady-state delta cost O(changed regions).
-func (ix *Index) buildTables(prev *Index, carried map[*regionIdx]bool) {
-	dirtyRows := make([]bool, ix.h)
-	dirtyCols := make([]bool, ix.w)
-	ix.rows = make([][]span, ix.h)
-	ix.cols = make([][]span, ix.w)
-	if prev == nil || prev.w != ix.w || prev.h != ix.h {
-		for y := range dirtyRows {
-			dirtyRows[y] = true
-		}
-		for x := range dirtyCols {
-			dirtyCols[x] = true
+// compileAll compiles every obstacle — the formation's regions srcs
+// when stable, else synthesized fault components — and assembles both
+// interval tables from scratch.
+func (ix *Index) compileAll(srcs []*region.Region, stable bool) {
+	var cells []*grid.PointSet
+	if stable {
+		ix.srcs = srcs
+		cells = make([]*grid.PointSet, len(srcs))
+		for i, r := range srcs {
+			cells[i] = r.Nodes
 		}
 	} else {
-		copy(ix.rows, prev.rows)
-		copy(ix.cols, prev.cols)
-		mark := func(rp *regionIdx) {
-			for y := rp.bounds.MinY; y <= rp.bounds.MaxY; y++ {
-				dirtyRows[y] = true
-			}
-			for x := rp.bounds.MinX; x <= rp.bounds.MaxX; x++ {
-				dirtyCols[x] = true
-			}
+		cells = conn8Components(ix.res)
+		ix.srcs = make([]*region.Region, len(cells))
+	}
+	ix.regs = make([]*regionIdx, len(cells))
+	for i, c := range cells {
+		ix.regs[i] = compileRegion(ix.topo, c)
+	}
+	ix.stats = Stats{Regions: len(cells), Compiled: len(cells)}
+	ix.rows = patchTable(newSpanTable(ix.h), ix.regs, nil, rowAxis)
+	ix.cols = patchTable(newSpanTable(ix.w), ix.regs, nil, colAxis)
+}
+
+// rebuildFrom derives the index from prev in O(changed regions): one
+// merge over the two canonically ordered region lists pairs survivors by
+// pointer (their compilations carry over), compiles the fresh regions,
+// and patches only the table rows and columns the fresh and retired
+// regions cover. Every other table chunk is shared with prev.
+func (ix *Index) rebuildFrom(prev *Index, srcs []*region.Region) {
+	ix.srcs = srcs
+	ix.regs = make([]*regionIdx, len(ix.srcs))
+	var added, removed []*regionIdx
+	pi := 0
+	for j, r := range ix.srcs {
+		// Both lists are sorted by canonical node with distinct keys, so a
+		// previous region keyed at or before r that is not r itself can
+		// no longer appear: it was retired by the delta.
+		key := r.Canonical()
+		for pi < len(prev.srcs) && prev.srcs[pi] != r && !key.Less(prev.srcs[pi].Canonical()) {
+			removed = append(removed, prev.regs[pi])
+			pi++
 		}
-		for _, rp := range ix.regs {
-			if !carried[rp] {
-				mark(rp)
-			}
+		if pi < len(prev.srcs) && prev.srcs[pi] == r {
+			ix.regs[j] = prev.regs[pi]
+			pi++
+			continue
 		}
-		for _, rp := range prev.regs {
-			if !carried[rp] {
-				mark(rp)
-			}
-		}
-		for y, dirty := range dirtyRows {
-			if dirty {
-				ix.rows[y] = nil
-			}
-		}
-		for x, dirty := range dirtyCols {
-			if dirty {
-				ix.cols[x] = nil
+		ix.regs[j] = compileRegion(ix.topo, r.Nodes)
+		added = append(added, ix.regs[j])
+	}
+	removed = append(removed, prev.regs[pi:]...)
+	ix.stats = Stats{Regions: len(ix.srcs), Compiled: len(added), Reused: len(ix.srcs) - len(added)}
+	ix.rows = patchTable(prev.rows, added, removed, rowAxis)
+	ix.cols = patchTable(prev.cols, added, removed, colAxis)
+}
+
+// rowAxis and colAxis select a compiled region's contribution to the row
+// or column table: the first table slot it covers and its runs per slot.
+func rowAxis(rp *regionIdx) (int, [][]xrun) { return rp.bounds.MinY, rp.rowRuns }
+func colAxis(rp *regionIdx) (int, [][]xrun) { return rp.bounds.MinX, rp.colRuns }
+
+// tableChunk is the slot count of one spanTable chunk.
+const tableChunk = 64
+
+// spanTable is a row (or column) interval table split into fixed chunks
+// of slots, so that patching a few slots copies the chunk pointers and
+// the chunks holding those slots while every other chunk stays shared
+// with the previous index. A chunk is never written once an index
+// holds it.
+type spanTable struct {
+	chunks []*[tableChunk][]span
+}
+
+// emptyChunk backs every chunk of a fresh table; patchTable copies it
+// before the first write, like any other shared chunk.
+var emptyChunk = new([tableChunk][]span)
+
+func newSpanTable(n int) spanTable {
+	t := spanTable{chunks: make([]*[tableChunk][]span, (n+tableChunk-1)/tableChunk)}
+	for c := range t.chunks {
+		t.chunks[c] = emptyChunk
+	}
+	return t
+}
+
+// at returns slot i's spans.
+func (t spanTable) at(i int) []span { return t.chunks[i/tableChunk][i%tableChunk] }
+
+// patchTable returns tab with every slot an added or removed region
+// covers reassembled — the slot's previous spans minus the removed
+// regions', plus the added regions' runs, sorted — and every chunk
+// without such a slot shared with tab. Spans in one slot are disjoint,
+// so the result is exactly the table a from-scratch assembly produces.
+func patchTable(tab spanTable, added, removed []*regionIdx, axis func(*regionIdx) (int, [][]xrun)) spanTable {
+	if len(added) == 0 && len(removed) == 0 {
+		return tab
+	}
+	var dirty []int
+	for _, group := range [2][]*regionIdx{added, removed} {
+		for _, rp := range group {
+			lo, runs := axis(rp)
+			for k := range runs {
+				dirty = append(dirty, lo+k)
 			}
 		}
 	}
-	for _, rp := range ix.regs {
-		for i, runs := range rp.rowRuns {
-			y := rp.bounds.MinY + i
-			if !dirtyRows[y] {
-				continue
-			}
-			for _, r := range runs {
-				ix.rows[y] = append(ix.rows[y], span{lo: r.lo, hi: r.hi, reg: rp})
+	slices.Sort(dirty)
+	dirty = slices.Compact(dirty)
+	gone := make(map[*regionIdx]bool, len(removed))
+	for _, rp := range removed {
+		gone[rp] = true
+	}
+	out := spanTable{chunks: slices.Clone(tab.chunks)}
+	// slot returns slot i of out, copying its chunk on first write.
+	slot := func(i int) *[]span {
+		c := i / tableChunk
+		if out.chunks[c] == tab.chunks[c] {
+			cp := *tab.chunks[c]
+			out.chunks[c] = &cp
+		}
+		return &out.chunks[c][i%tableChunk]
+	}
+	for _, i := range dirty {
+		var kept []span // fresh backing array: tab's slices are shared
+		for _, s := range tab.at(i) {
+			if !gone[s.reg] {
+				kept = append(kept, s)
 			}
 		}
-		for i, runs := range rp.colRuns {
-			x := rp.bounds.MinX + i
-			if !dirtyCols[x] {
-				continue
-			}
-			for _, r := range runs {
-				ix.cols[x] = append(ix.cols[x], span{lo: r.lo, hi: r.hi, reg: rp})
+		*slot(i) = kept
+	}
+	for _, rp := range added {
+		lo, runs := axis(rp)
+		for k, rr := range runs {
+			sl := slot(lo + k)
+			for _, r := range rr {
+				*sl = append(*sl, span{lo: r.lo, hi: r.hi, reg: rp})
 			}
 		}
 	}
-	for y, dirty := range dirtyRows {
-		if dirty {
-			sortSpans(ix.rows[y])
-		}
+	for _, i := range dirty {
+		sortSpans(*slot(i))
 	}
-	for x, dirty := range dirtyCols {
-		if dirty {
-			sortSpans(ix.cols[x])
-		}
-	}
+	return out
 }
 
 func sortSpans(s []span) {
 	sort.Slice(s, func(i, j int) bool { return s[i].lo < s[j].lo })
 }
 
-// obstaclesOf partitions the forbidden cells of res under model into the
-// connected obstacles the index compiles. For ModelRegions and
-// ModelBlocks these are the formation's own region structures, whose
-// pointers are stable across deltas for unchanged components; for
-// ModelFaultsOnly the obstacles are 8-connected fault components
-// synthesized here, with no stable source pointers.
-func obstaclesOf(res *core.Result, model routing.Model) ([]*grid.PointSet, []*region.Region) {
-	var regs []*region.Region
+// sourcesOf returns the formation's own region list that forms the
+// obstacles of a label model: disabled regions for ModelRegions, faulty
+// blocks for ModelBlocks. Their pointers are stable across deltas for
+// unchanged components. stable is false for the other models, whose
+// obstacles are synthesized fault components.
+func sourcesOf(res core.Formation, model routing.Model) (srcs []*region.Region, stable bool) {
 	switch model {
 	case routing.ModelRegions:
-		regs = res.Regions
+		return res.DisabledRegions(), true
 	case routing.ModelBlocks:
-		regs = res.Blocks
-	default:
-		comps := conn8Components(res.Topo, res.Faults)
-		return comps, make([]*region.Region, len(comps))
+		return res.FaultyBlocks(), true
 	}
-	sets := make([]*grid.PointSet, len(regs))
-	srcs := make([]*region.Region, len(regs))
-	for i, r := range regs {
-		sets[i] = r.Nodes
-		srcs[i] = r
-	}
-	return sets, srcs
+	return nil, false
 }
 
 // conn8Components splits the fault set into 8-connected components
-// (wrap-aware on tori), in deterministic order.
-func conn8Components(topo *mesh.Topology, faults *grid.PointSet) []*grid.PointSet {
-	pts := faults.Points()
-	grid.SortPoints(pts)
+// (wrap-aware on tori), in deterministic order: the ModelFaultsOnly
+// obstacles, synthesized here with no stable source pointers.
+func conn8Components(res core.Formation) []*grid.PointSet {
+	topo := res.Topology()
+	pts := res.FaultPoints()
 	seen := make(map[grid.Point]bool, len(pts))
 	var comps []*grid.PointSet
 	for _, p := range pts {
@@ -317,7 +377,7 @@ func conn8Components(topo *mesh.Topology, faults *grid.PointSet) []*grid.PointSe
 						continue
 					}
 					n := topo.Wrap(grid.Pt(q.X+dx, q.Y+dy))
-					if topo.Contains(n) && faults.Has(n) && !seen[n] {
+					if topo.Contains(n) && res.IsFaulty(n) && !seen[n] {
 						seen[n] = true
 						queue = append(queue, n)
 					}
@@ -327,27 +387,6 @@ func conn8Components(topo *mesh.Topology, faults *grid.PointSet) []*grid.PointSe
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// allowFunc returns the model's allowed-predicate with the plane lookup
-// inlined for the hot models; semantics are identical to
-// routing.Model.Allowed.
-func allowFunc(res *core.Result, model routing.Model) func(grid.Point) bool {
-	w, h := res.Topo.Width(), res.Topo.Height()
-	switch model {
-	case routing.ModelRegions:
-		plane := res.Enabled
-		return func(p grid.Point) bool {
-			return p.X >= 0 && p.X < w && p.Y >= 0 && p.Y < h && plane[p.Y*w+p.X]
-		}
-	case routing.ModelBlocks:
-		plane := res.Unsafe
-		return func(p grid.Point) bool {
-			return p.X >= 0 && p.X < w && p.Y >= 0 && p.Y < h && !plane[p.Y*w+p.X]
-		}
-	default:
-		return func(p grid.Point) bool { return model.Allowed(res, p) }
-	}
 }
 
 // Fingerprint serializes the index's complete content deterministically:
@@ -386,14 +425,14 @@ func (ix *Index) Fingerprint() string {
 			fmt.Fprintln(&b)
 		}
 	}
-	dumpTable := func(name string, tab [][]span) {
-		for i, spans := range tab {
-			for _, s := range spans {
+	dumpTable := func(name string, tab spanTable, n int) {
+		for i := 0; i < n; i++ {
+			for _, s := range tab.at(i) {
 				fmt.Fprintf(&b, "%s %d: [%d,%d] reg=%d\n", name, i, s.lo, s.hi, regNo[s.reg])
 			}
 		}
 	}
-	dumpTable("rows", ix.rows)
-	dumpTable("cols", ix.cols)
+	dumpTable("rows", ix.rows, ix.h)
+	dumpTable("cols", ix.cols, ix.w)
 	return b.String()
 }

@@ -40,10 +40,10 @@ func checkCoverage(t *testing.T, ix *Index) {
 	}
 	for _, p := range ix.topo.Points() {
 		forbidden := !ix.allow(p)
-		if got := inSpans(ix.rows[p.Y], p.X); got != forbidden {
+		if got := inSpans(ix.rows.at(p.Y), p.X); got != forbidden {
 			t.Fatalf("row table at %v: forbidden=%t, span=%t", p, forbidden, got)
 		}
-		if got := inSpans(ix.cols[p.X], p.Y); got != forbidden {
+		if got := inSpans(ix.cols.at(p.X), p.Y); got != forbidden {
 			t.Fatalf("col table at %v: forbidden=%t, span=%t", p, forbidden, got)
 		}
 	}
@@ -160,9 +160,9 @@ func TestRouteIndexEdgeCaseSharedRow(t *testing.T) {
 	g := routing.NewGraph(res, routing.ModelRegions)
 	ix := Compile(res, routing.ModelRegions, Options{})
 	sharedRow := false
-	for _, spans := range ix.rows {
+	for y := 0; y < ix.h; y++ {
 		owners := map[*regionIdx]bool{}
-		for _, s := range spans {
+		for _, s := range ix.rows.at(y) {
 			owners[s.reg] = true
 		}
 		if len(owners) >= 2 {
@@ -499,7 +499,7 @@ func TestRouteIndexDetourCosts(t *testing.T) {
 	res := formOn(t, topo, status.Def2b, faults)
 	ix := Compile(res, routing.ModelRegions, Options{})
 	var rp *regionIdx
-	for _, s := range ix.rows[5] {
+	for _, s := range ix.rows.at(5) {
 		if int(s.lo) <= 5 && 5 <= int(s.hi) {
 			rp = s.reg
 		}
@@ -522,6 +522,74 @@ func TestRouteIndexDetourCosts(t *testing.T) {
 		gcw, gccw, ok := ix.DetourCosts(grid.Pt(5, 5), a.p, b.p, a.h, b.h)
 		if !ok || gcw != cw || gccw != ccw {
 			t.Fatalf("DetourCosts(%v->%v) = %d,%d,%t want %d,%d", a, b, gcw, gccw, ok, cw, ccw)
+		}
+	}
+}
+
+// TestRouteIndexViewRebuild drives incremental rebuilds from a session's
+// copy-on-write views under both label models, on a mesh and a torus:
+// every rebuild is byte-identical to a from-scratch compile of the
+// materialized Result, compiles exactly the regions whose pointer
+// changed, shares every table chunk no changed region covers, and
+// routes hop-identically to Detour over the view.
+func TestRouteIndexViewRebuild(t *testing.T) {
+	for _, kind := range []mesh.Kind{mesh.Mesh2D, mesh.Torus2D} {
+		for _, model := range []routing.Model{routing.ModelRegions, routing.ModelBlocks} {
+			t.Run(fmt.Sprintf("%s/%s", kind, model), func(t *testing.T) {
+				cfg := core.Config{Width: 130, Height: 70, Kind: kind, Engine: core.EngineBitset, Workers: 1}
+				s, err := core.NewSession(cfg, []grid.Point{grid.Pt(5, 5), grid.Pt(6, 6), grid.Pt(100, 60), grid.Pt(129, 30)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				rng := rand.New(rand.NewSource(int64(model) + 17))
+				v := s.View()
+				ix := Compile(v, model, Options{})
+				sharedChunks := 0
+				for step := 0; step < 40; step++ {
+					p := grid.Pt(rng.Intn(cfg.Width), rng.Intn(cfg.Height))
+					if s.Faults().Has(p) || rng.Intn(3) == 0 {
+						faults := s.Faults().Points()
+						_, err = s.RemoveFaults(faults[rng.Intn(len(faults))])
+					} else {
+						_, err = s.AddFaults(p)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					prev := ix
+					v = s.View()
+					ix = ix.Rebuild(v)
+					if got, want := ix.Fingerprint(), Compile(v.Result(), model, Options{}).Fingerprint(); got != want {
+						t.Fatalf("step %d: rebuilt index differs from a from-scratch compile", step)
+					}
+					old := make(map[interface{}]bool, len(prev.srcs))
+					for _, r := range prev.srcs {
+						old[r] = true
+					}
+					changed := 0
+					for _, r := range ix.srcs {
+						if !old[r] {
+							changed++
+						}
+					}
+					if ix.Stats().Compiled != changed {
+						t.Fatalf("step %d: compiled %d regions, %d changed pointers", step, ix.Stats().Compiled, changed)
+					}
+					for c := range ix.rows.chunks {
+						if ix.rows.chunks[c] == prev.rows.chunks[c] {
+							sharedChunks++
+						}
+					}
+					g := routing.NewGraph(v, model)
+					for q := 0; q < 10; q++ {
+						comparePair(t, g, ix, grid.Pt(rng.Intn(cfg.Width), rng.Intn(cfg.Height)), grid.Pt(rng.Intn(cfg.Width), rng.Intn(cfg.Height)))
+					}
+				}
+				if sharedChunks == 0 {
+					t.Fatal("no rebuild shared a row-table chunk with its predecessor")
+				}
+			})
 		}
 	}
 }

@@ -153,7 +153,7 @@ func AnalyzeDeadlock(g *Graph, r Router, policy VCPolicy, pairs [][2]grid.Point)
 // machines.
 func AllPairs(g *Graph) [][2]grid.Point {
 	var nodes []grid.Point
-	for _, p := range g.res.Topo.Points() {
+	for _, p := range g.topo.Points() {
 		if g.Allowed(p) {
 			nodes = append(nodes, p)
 		}

@@ -58,20 +58,59 @@ func (m Model) String() string {
 }
 
 // Allowed reports whether p may carry messages under the model.
-func (m Model) Allowed(res *core.Result, p grid.Point) bool {
-	if !res.Topo.Contains(p) {
+func (m Model) Allowed(f core.Formation, p grid.Point) bool {
+	if !f.Topology().Contains(p) {
 		return false
 	}
 	switch m {
 	case ModelBlocks:
-		return !res.IsUnsafe(p)
+		return !f.IsUnsafe(p)
 	case ModelRegions:
-		return res.IsEnabled(p)
+		return f.IsEnabled(p)
 	case ModelFaultsOnly:
-		return !res.IsFaulty(p)
+		return !f.IsFaulty(p)
 	default:
 		return false
 	}
+}
+
+// Predicate returns Allowed as a closure over f with the plane lookup
+// inlined for each concrete representation — the []bool planes of a
+// *core.Result, the paged words of a *core.View — under the label
+// models. Semantics are identical to Allowed; hot loops (the walk
+// routers, the route index) call it per step.
+func (m Model) Predicate(f core.Formation) func(grid.Point) bool {
+	topo := f.Topology()
+	w, h := topo.Width(), topo.Height()
+	switch f := f.(type) {
+	case *core.Result:
+		switch m {
+		case ModelRegions:
+			plane := f.Enabled
+			return func(p grid.Point) bool {
+				return p.X >= 0 && p.X < w && p.Y >= 0 && p.Y < h && plane[p.Y*w+p.X]
+			}
+		case ModelBlocks:
+			plane := f.Unsafe
+			return func(p grid.Point) bool {
+				return p.X >= 0 && p.X < w && p.Y >= 0 && p.Y < h && !plane[p.Y*w+p.X]
+			}
+		}
+	case *core.View:
+		switch m {
+		case ModelRegions:
+			plane := f.EnabledPlane()
+			return func(p grid.Point) bool {
+				return p.X >= 0 && p.X < w && p.Y >= 0 && p.Y < h && plane.Get(p.X, p.Y)
+			}
+		case ModelBlocks:
+			plane := f.UnsafePlane()
+			return func(p grid.Point) bool {
+				return p.X >= 0 && p.X < w && p.Y >= 0 && p.Y < h && !plane.Get(p.X, p.Y)
+			}
+		}
+	}
+	return func(p grid.Point) bool { return m.Allowed(f, p) }
 }
 
 // Path is a sequence of adjacent machine nodes from source to
@@ -89,7 +128,7 @@ func (p Path) Len() int {
 
 // Validate checks that the path starts at src, ends at dst, takes only
 // topology-adjacent steps and visits only allowed nodes.
-func (p Path) Validate(res *core.Result, m Model, src, dst grid.Point) error {
+func (p Path) Validate(res core.Formation, m Model, src, dst grid.Point) error {
 	if len(p) == 0 {
 		return fmt.Errorf("routing: empty path")
 	}
@@ -100,7 +139,7 @@ func (p Path) Validate(res *core.Result, m Model, src, dst grid.Point) error {
 		if !m.Allowed(res, q) {
 			return fmt.Errorf("routing: path visits forbidden node %v", q)
 		}
-		if i > 0 && res.Topo.Dist(p[i-1], q) != 1 {
+		if i > 0 && res.Topology().Dist(p[i-1], q) != 1 {
 			return fmt.Errorf("routing: non-adjacent step %v -> %v", p[i-1], q)
 		}
 	}
@@ -109,23 +148,26 @@ func (p Path) Validate(res *core.Result, m Model, src, dst grid.Point) error {
 
 // Graph is a routing view of a formation result under one fault model.
 type Graph struct {
-	res   *core.Result
+	res   core.Formation
+	topo  *mesh.Topology
 	model Model
+	allow func(grid.Point) bool
 }
 
 // NewGraph returns the routing view of res under model m.
-func NewGraph(res *core.Result, m Model) *Graph { return &Graph{res: res, model: m} }
+func NewGraph(res core.Formation, m Model) *Graph {
+	return &Graph{res: res, topo: res.Topology(), model: m, allow: m.Predicate(res)}
+}
 
 // Allowed reports whether p may carry messages.
-func (g *Graph) Allowed(p grid.Point) bool { return g.model.Allowed(g.res, p) }
+func (g *Graph) Allowed(p grid.Point) bool { return g.allow(p) }
 
 // Topo returns the underlying machine topology.
-func (g *Graph) Topo() *mesh.Topology { return g.res.Topo }
+func (g *Graph) Topo() *mesh.Topology { return g.topo }
 
-// Result returns the formation result the graph views. Index-backed
-// routers use it to check that graph and index describe the same
-// snapshot.
-func (g *Graph) Result() *core.Result { return g.res }
+// Result returns the formation the graph views. Index-backed routers
+// use it to check that graph and index describe the same snapshot.
+func (g *Graph) Result() core.Formation { return g.res }
 
 // Model returns the fault model the graph routes under.
 func (g *Graph) Model() Model { return g.model }
@@ -133,7 +175,7 @@ func (g *Graph) Model() Model { return g.model }
 // Neighbors returns the allowed machine neighbors of p.
 func (g *Graph) Neighbors(p grid.Point) []grid.Point {
 	var out []grid.Point
-	for _, q := range g.res.Topo.Neighbors(p) {
+	for _, q := range g.topo.Neighbors(p) {
 		if g.Allowed(q) {
 			out = append(out, q)
 		}
@@ -151,7 +193,7 @@ func (g *Graph) ShortestPath(src, dst grid.Point) (Path, bool) {
 	if src == dst {
 		return Path{src}, true
 	}
-	topo := g.res.Topo
+	topo := g.topo
 	prev := make(map[grid.Point]grid.Point, topo.Size())
 	prev[src] = src
 	queue := []grid.Point{src}

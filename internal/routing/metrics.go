@@ -43,9 +43,9 @@ func (s ModelStats) AvgStretch() float64 {
 
 // SamplePairs draws n source/destination pairs uniformly among distinct
 // nonfaulty nodes.
-func SamplePairs(res *core.Result, n int, rng *rand.Rand) [][2]grid.Point {
+func SamplePairs(res core.Formation, n int, rng *rand.Rand) [][2]grid.Point {
 	var nonfaulty []grid.Point
-	for _, p := range res.Topo.Points() {
+	for _, p := range res.Topology().Points() {
 		if !res.IsFaulty(p) {
 			nonfaulty = append(nonfaulty, p)
 		}
@@ -68,7 +68,7 @@ func SamplePairs(res *core.Result, n int, rng *rand.Rand) [][2]grid.Point {
 // model on the same pair sample. The expected shape — the paper's
 // motivation — is ModelRegions delivering at least as many pairs with at
 // most the stretch of ModelBlocks, both bounded below by ModelFaultsOnly.
-func CompareModels(res *core.Result, pairs [][2]grid.Point) map[Model]ModelStats {
+func CompareModels(res core.Formation, pairs [][2]grid.Point) map[Model]ModelStats {
 	out := make(map[Model]ModelStats, 3)
 	for _, m := range []Model{ModelBlocks, ModelRegions, ModelFaultsOnly} {
 		g := NewGraph(res, m)
@@ -82,7 +82,7 @@ func CompareModels(res *core.Result, pairs [][2]grid.Point) map[Model]ModelStats
 			if path, ok := g.ShortestPath(src, dst); ok {
 				st.Delivered++
 				st.TotalHops += path.Len()
-				st.TotalManhattan += res.Topo.Dist(src, dst)
+				st.TotalManhattan += res.Topology().Dist(src, dst)
 			}
 		}
 		out[m] = st

@@ -28,28 +28,28 @@ var engineNames = []string{"sequential", "channels", "parallel", "bitset"}
 // byte-identical label planes, identical blocks and regions.
 func assertServedMatchesFresh(t *testing.T, tag string, tn *serve.Tenant) {
 	t.Helper()
-	snap := tn.Snapshot()
+	res := tn.Snapshot().View.Result()
 	cfg, err := tn.Config().CoreConfig()
 	if err != nil {
 		t.Fatalf("%s: config: %v", tag, err)
 	}
-	fresh, err := core.FormOn(cfg, snap.Res.Topo, snap.Res.Faults)
+	fresh, err := core.FormOn(cfg, res.Topo, res.Faults)
 	if err != nil {
 		t.Fatalf("%s: fresh form: %v", tag, err)
 	}
-	if !snap.Res.Faults.Equal(fresh.Faults) {
+	if !res.Faults.Equal(fresh.Faults) {
 		t.Fatalf("%s: served fault set differs from fresh", tag)
 	}
-	if !slices.Equal(snap.Res.Unsafe, fresh.Unsafe) {
-		t.Fatalf("%s: served unsafe plane differs from fresh form (faults=%d)", tag, snap.Res.Faults.Len())
+	if !slices.Equal(res.Unsafe, fresh.Unsafe) {
+		t.Fatalf("%s: served unsafe plane differs from fresh form (faults=%d)", tag, res.Faults.Len())
 	}
-	if !slices.Equal(snap.Res.Enabled, fresh.Enabled) {
-		t.Fatalf("%s: served enabled plane differs from fresh form (faults=%d)", tag, snap.Res.Faults.Len())
+	if !slices.Equal(res.Enabled, fresh.Enabled) {
+		t.Fatalf("%s: served enabled plane differs from fresh form (faults=%d)", tag, res.Faults.Len())
 	}
-	if err := sameRegions(snap.Res.Blocks, fresh.Blocks); err != nil {
+	if err := sameRegions(res.Blocks, fresh.Blocks); err != nil {
 		t.Fatalf("%s: served faulty blocks differ: %v", tag, err)
 	}
-	if err := sameRegions(snap.Res.Regions, fresh.Regions); err != nil {
+	if err := sameRegions(res.Regions, fresh.Regions); err != nil {
 		t.Fatalf("%s: served disabled regions differ: %v", tag, err)
 	}
 }
@@ -159,7 +159,7 @@ func TestServeDifferentialRandom(t *testing.T) {
 					}
 				case r < 0.8: // query: the published snapshot matches the mirror
 					snap := tn.Snapshot()
-					if !snap.Res.Faults.Equal(m.faults) {
+					if !snap.View.Result().Faults.Equal(m.faults) {
 						t.Fatalf("%s: served fault set diverged from the applied deltas", m.id)
 					}
 				default: // route query off the snapshot
@@ -188,7 +188,7 @@ func TestServeDifferentialRandom(t *testing.T) {
 				if err != nil {
 					t.Fatalf("tenant %s: %v", m.id, err)
 				}
-				if !tn.Snapshot().Res.Faults.Equal(m.faults) {
+				if !tn.Snapshot().View.Result().Faults.Equal(m.faults) {
 					t.Fatalf("%s: final fault set diverged", m.id)
 				}
 				assertServedMatchesFresh(t, m.id+" final", tn)

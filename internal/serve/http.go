@@ -9,12 +9,12 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"ocpmesh/internal/grid"
-	"ocpmesh/internal/obs"
 	"ocpmesh/internal/region"
 	"ocpmesh/internal/routeidx"
 	"ocpmesh/internal/routing"
@@ -258,7 +258,7 @@ type TenantStatus struct {
 
 func (s *Server) listTenants(w http.ResponseWriter, _ *http.Request) {
 	ids := s.svc.Tenants()
-	sortStrings(ids)
+	slices.Sort(ids)
 	writeJSON(w, http.StatusOK, map[string][]string{"tenants": ids})
 }
 
@@ -290,10 +290,10 @@ func statusOf(t *Tenant) TenantStatus {
 		ID:            t.ID(),
 		Config:        t.Config(),
 		Seq:           snap.Seq,
-		Faults:        snap.Res.Faults.Len(),
-		Blocks:        len(snap.Res.Blocks),
-		Regions:       len(snap.Res.Regions),
-		Disabled:      snap.Res.DisabledNonfaultyCount(),
+		Faults:        snap.View.FaultCount(),
+		Blocks:        len(snap.View.FaultyBlocks()),
+		Regions:       len(snap.View.DisabledRegions()),
+		Disabled:      snap.View.DisabledNonfaultyCount(),
 		DroppedEvents: t.Dropped(),
 		Features:      t.svc.Features(),
 	}
@@ -389,10 +389,10 @@ func (s *Server) labels(w http.ResponseWriter, r *http.Request) {
 	s.observeQuery("labels", func() {
 		writeJSON(w, http.StatusOK, LabelsResponse{
 			Seq:     snap.Seq,
-			Width:   snap.Res.Topo.Width(),
-			Height:  snap.Res.Topo.Height(),
-			Unsafe:  packPlane(snap.Res.Topo, snap.Res.Unsafe),
-			Enabled: packPlane(snap.Res.Topo, snap.Res.Enabled),
+			Width:   snap.View.Topology().Width(),
+			Height:  snap.View.Topology().Height(),
+			Unsafe:  encodePlane(snap.View.UnsafePlane()),
+			Enabled: encodePlane(snap.View.EnabledPlane()),
 		})
 	})
 }
@@ -448,8 +448,8 @@ func (s *Server) regions(w http.ResponseWriter, r *http.Request) {
 	s.observeQuery("regions", func() {
 		writeJSON(w, http.StatusOK, RegionsResponse{
 			Seq:     snap.Seq,
-			Blocks:  regionJSON(snap.Res.Blocks, withNodes),
-			Regions: regionJSON(snap.Res.Regions, withNodes),
+			Blocks:  regionJSON(snap.View.FaultyBlocks(), withNodes),
+			Regions: regionJSON(snap.View.DisabledRegions(), withNodes),
 		})
 	})
 }
@@ -704,26 +704,17 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// observeQuery wraps one read-path handler with the serve_query
-// latency metric.
+// observeQuery wraps one read-path handler (kind is one of queryKinds)
+// with the serve_query metrics, through the handles resolved at New.
 func (s *Server) observeQuery(kind string, fn func()) {
-	rec := s.svc.opts.Recorder
-	if rec == nil {
+	if s.svc.opts.Recorder == nil {
 		fn()
 		return
 	}
 	start := time.Now()
 	fn()
-	rec.Counter("serve_queries").Inc()
-	rec.Counter("serve_query_" + kind).Inc()
-	rec.Histogram("serve_query_ns", obs.NSBuckets).Observe(float64(time.Since(start).Nanoseconds()))
-}
-
-// sortStrings is sort.Strings without dragging sort into every file.
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
+	m := &s.svc.metrics
+	m.queries.Inc()
+	m.queryKind[kind].Inc()
+	m.queryNS.Observe(float64(time.Since(start).Nanoseconds()))
 }

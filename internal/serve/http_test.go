@@ -199,6 +199,10 @@ func TestHTTPErrorPaths(t *testing.T) {
 			serve.DeltaRequest{Op: "add", Points: [][2]int{{100, 100}}}, 400},
 		{"oversized mesh", "POST", "/api/tenants",
 			serve.CreateRequest{ID: "big", Config: serve.TenantConfig{Width: 64, Height: 64}}, 413},
+		{"overflowing mesh", "POST", "/api/tenants",
+			serve.CreateRequest{ID: "huge", Config: serve.TenantConfig{Width: 1 << 32, Height: 1 << 32}}, 413},
+		{"overflowing restore", "POST", "/api/tenants/huge/restore",
+			serve.TenantSnapshot{Version: 1, Config: serve.TenantConfig{Width: 1 << 32, Height: 1 << 32}}, 413},
 		{"zero-dim mesh", "POST", "/api/tenants",
 			serve.CreateRequest{ID: "flat", Config: serve.TenantConfig{Width: 0, Height: 4}}, 400},
 		{"bad engine", "POST", "/api/tenants",

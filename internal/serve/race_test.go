@@ -84,9 +84,10 @@ func TestServeConcurrentHammer(t *testing.T) {
 				}
 				lastSeq = snap.Seq
 				ok := true
-				snap.Res.Faults.Each(func(p grid.Point) {
-					i := snap.Res.Topo.Index(p)
-					if !snap.Res.Unsafe[i] || snap.Res.Enabled[i] {
+				res := snap.View.Result()
+				res.Faults.Each(func(p grid.Point) {
+					i := res.Topo.Index(p)
+					if !res.Unsafe[i] || res.Enabled[i] {
 						ok = false
 					}
 				})
@@ -134,7 +135,7 @@ func TestServeConcurrentHammer(t *testing.T) {
 				// Nobody else touches p and this writer has nothing in
 				// flight, so any snapshot at or past the reply must show
 				// the delta's effect — coalescing may not drop it.
-				if snap.Res.Faults.Has(p) != (op == "add") {
+				if snap.View.Result().Faults.Has(p) != (op == "add") {
 					t.Errorf("writer %d: delta %d (%s %v) dropped at seq %d", w, i, op, p, snap.Seq)
 					return
 				}
@@ -156,8 +157,8 @@ func TestServeConcurrentHammer(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		wantFaults.Add(grid.Pt(2+3*w, 7))
 	}
-	if !snap.Res.Faults.Equal(wantFaults) {
-		t.Fatalf("final fault set %v, want %v", snap.Res.Faults.Points(), wantFaults.Points())
+	if res := snap.View.Result(); !res.Faults.Equal(wantFaults) {
+		t.Fatalf("final fault set %v, want %v", res.Faults.Points(), wantFaults.Points())
 	}
 	assertServedMatchesFresh(t, "hot after hammer", hot)
 
@@ -166,7 +167,7 @@ func TestServeConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Snapshot().Seq != 0 || cold.Snapshot().Res.Faults.Len() != 1 {
+	if cold.Snapshot().Seq != 0 || cold.Snapshot().View.Result().Faults.Len() != 1 {
 		t.Fatal("cold tenant state changed under the hammer")
 	}
 
@@ -235,8 +236,9 @@ func TestServeBatchCoalescing(t *testing.T) {
 	if snap.Seq != burst {
 		t.Fatalf("final seq %d, want %d", snap.Seq, burst)
 	}
+	res := snap.View.Result()
 	for i := 0; i < burst; i++ {
-		if !snap.Res.Faults.Has(grid.Pt(i, i)) {
+		if !res.Faults.Has(grid.Pt(i, i)) {
 			t.Fatalf("delta %d lost in coalescing", i)
 		}
 	}
@@ -362,7 +364,7 @@ func TestServeResponseSeqCoversEffect(t *testing.T) {
 			if snap.Seq < resp.Seq {
 				t.Errorf("snapshot %d behind reply %d", snap.Seq, resp.Seq)
 			}
-			if !snap.Res.Faults.Has(p) {
+			if !snap.View.Result().Faults.Has(p) {
 				t.Errorf("effect of %v missing from snapshot at seq %d", p, snap.Seq)
 			}
 		}(i)
@@ -370,13 +372,13 @@ func TestServeResponseSeqCoversEffect(t *testing.T) {
 	wg.Wait()
 	// Cross-check against core: the service's final answer is the
 	// library's answer.
-	snap := tn.Snapshot()
+	res := tn.Snapshot().View.Result()
 	cfg, _ := tn.Config().CoreConfig()
-	fresh, err := core.FormOn(cfg, snap.Res.Topo, snap.Res.Faults)
+	fresh, err := core.FormOn(cfg, res.Topo, res.Faults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Res.Faults.Len() != fresh.Faults.Len() || len(snap.Res.Regions) != len(fresh.Regions) {
+	if res.Faults.Len() != fresh.Faults.Len() || len(res.Regions) != len(fresh.Regions) {
 		t.Fatal("served state diverged from library formation")
 	}
 }

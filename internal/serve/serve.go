@@ -19,10 +19,12 @@
 //     delta's order and effect. An optional batch window widens the
 //     coalescing under open-loop load.
 //   - Immutable snapshots. After each batch the shard publishes a fresh
-//     core.Result behind an atomic pointer; queries and routes read the
+//     core.View behind an atomic pointer; queries and routes read the
 //     snapshot and never touch the session, so readers always observe a
 //     consistent formation (no torn labels mid-pass) at a known
-//     sequence number.
+//     sequence number. A view's label and fault planes are paged and
+//     copy-on-write: publishing copies only the pages the batch wrote
+//     and shares the rest with the previous snapshot.
 //
 // Tenant state serializes to a TenantSnapshot — the fault set plus both
 // label planes packed 64 labels per word (grid.BitGrid) — and restores
@@ -141,7 +143,7 @@ type Event struct {
 	DurNS int64 `json:"dur_ns,omitempty"`
 }
 
-// Snapshot is one published formation state: an immutable core.Result
+// Snapshot is one published formation state: an immutable core.View
 // plus the delta sequence number it reflects. Readers share it; nothing
 // reachable from it is ever mutated after publication.
 type Snapshot struct {
@@ -149,11 +151,13 @@ type Snapshot struct {
 	// and the snapshot published after the batch containing request k
 	// has Seq >= k.
 	Seq uint64
-	// Res is the formation result, interchangeable with a from-scratch
-	// core.Form on the tenant's current fault set.
-	Res *core.Result
-	// Routes is the precompiled routing index over Res under the
-	// regions fault model (internal/routeidx). Immutable like Res, and
+	// View is the formation, equal to a from-scratch core.Form on the
+	// tenant's current fault set (View.Result materializes that
+	// Result). Its planes share every page the batch did not write with
+	// the previous snapshot's.
+	View *core.View
+	// Routes is the precompiled routing index over View under the
+	// regions fault model (internal/routeidx). Immutable like View, and
 	// rebuilt incrementally at publication: only regions whose label
 	// sets changed across the batch are recompiled.
 	Routes *routeidx.Index
@@ -177,6 +181,9 @@ type Tenant struct {
 	// seq is the count of applied delta requests; only the shard loop
 	// writes it.
 	seq uint64
+	// requests and busyNS are the tenant's serve_tenant_* counters,
+	// resolved at adoption (nil, hence no-ops, without a recorder).
+	requests, busyNS *obs.Counter
 	// deleted flips once the shard loop has torn the session down; ops
 	// that raced past the registry lookup observe it and fail.
 	deleted atomic.Bool
@@ -247,9 +254,7 @@ func (t *Tenant) publish(e Event) {
 	t.subMu.Unlock()
 	if dropped > 0 {
 		t.dropped.Add(dropped)
-		if rec := t.svc.opts.Recorder; rec != nil {
-			rec.Counter("serve_sse_dropped").Add(dropped)
-		}
+		t.svc.metrics.sseDropped.Add(dropped)
 	}
 }
 
@@ -356,6 +361,44 @@ func newStageMetrics(rec *obs.Recorder, shards int) *stageMetrics {
 	return m
 }
 
+// serveMetrics caches the batch, tenant and read-path metric handles at
+// construction, like stageMetrics, so neither the shard loop nor a read
+// handler takes the registry's name-lookup lock. Without a recorder
+// every handle is nil and its methods are no-ops.
+type serveMetrics struct {
+	deltas, batches, sseDropped, tenantsCreated *obs.Counter
+	batchSize, deltaNS, batchRequests           *obs.Histogram
+	tenants                                     *obs.Gauge
+	queries                                     *obs.Counter
+	queryNS                                     *obs.Histogram
+	// queryKind holds serve_query_<kind> per read endpoint; read-only
+	// after construction.
+	queryKind map[string]*obs.Counter
+}
+
+// queryKinds are the read endpoints observeQuery attributes.
+var queryKinds = []string{"labels", "regions", "route", "routes", "disjoint", "snapshot"}
+
+func newServeMetrics(rec *obs.Recorder) serveMetrics {
+	m := serveMetrics{
+		deltas:         rec.Counter("serve_deltas"),
+		batches:        rec.Counter("serve_batches"),
+		sseDropped:     rec.Counter("serve_sse_dropped"),
+		tenantsCreated: rec.Counter("serve_tenants_created"),
+		batchSize:      rec.Histogram("serve_batch_size", nil),
+		deltaNS:        rec.Histogram("serve_delta_ns", obs.NSBuckets),
+		batchRequests:  rec.Histogram("serve_batch_requests", nil),
+		tenants:        rec.Gauge("serve_tenants"),
+		queries:        rec.Counter("serve_queries"),
+		queryNS:        rec.Histogram("serve_query_ns", obs.NSBuckets),
+		queryKind:      make(map[string]*obs.Counter, len(queryKinds)),
+	}
+	for _, k := range queryKinds {
+		m.queryKind[k] = rec.Counter("serve_query_" + k)
+	}
+	return m
+}
+
 // Service is the multi-tenant formation service.
 type Service struct {
 	opts   Options
@@ -364,7 +407,8 @@ type Service struct {
 	reqSeq atomic.Int64
 	// stages holds the cached attribution metric handles; nil when the
 	// recorder is absent or DisableStages is set.
-	stages *stageMetrics
+	stages  *stageMetrics
+	metrics serveMetrics
 
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
@@ -377,7 +421,7 @@ type Service struct {
 
 // New starts a service: its shard loops run until Close.
 func New(opts Options) *Service {
-	s := &Service{opts: opts, tenants: make(map[string]*Tenant)}
+	s := &Service{opts: opts, tenants: make(map[string]*Tenant), metrics: newServeMetrics(opts.Recorder)}
 	n := opts.shards()
 	if opts.Recorder != nil && !opts.DisableStages {
 		s.stages = newStageMetrics(opts.Recorder, n)
@@ -447,8 +491,8 @@ func (s *Service) Create(id string, tcfg TenantConfig, faults []grid.Point) (t *
 	if err != nil {
 		return nil, false, err
 	}
-	if cfg.Width*cfg.Height > s.opts.maxNodes() {
-		return nil, false, fmt.Errorf("%w: %dx%d > %d nodes", ErrTooLarge, cfg.Width, cfg.Height, s.opts.maxNodes())
+	if err := checkSize(cfg.Width, cfg.Height, s.opts.maxNodes()); err != nil {
+		return nil, false, err
 	}
 	fs := grid.PointSetOf(faults...)
 	for _, p := range faults {
@@ -459,7 +503,7 @@ func (s *Service) Create(id string, tcfg TenantConfig, faults []grid.Point) (t *
 	// sameAs reports whether an existing tenant makes this create a
 	// no-op retry (identical config and fault set).
 	sameAs := func(old *Tenant) (t *Tenant, created bool, err error) {
-		if old.tcfg == tcfg && old.Snapshot().Res.Faults.Equal(fs) {
+		if old.tcfg == tcfg && sameFaults(old.Snapshot().View, fs) {
 			return old, false, nil
 		}
 		return nil, false, fmt.Errorf("%w: %q", ErrTenantExists, id)
@@ -491,7 +535,7 @@ func (s *Service) Create(id string, tcfg TenantConfig, faults []grid.Point) (t *
 		session.Close()
 		return sameAs(old)
 	}
-	t = s.adopt(id, tcfg, cfg, session)
+	t = s.adopt(id, tcfg, cfg, session, 0)
 	s.mu.Unlock()
 	return t, true, nil
 }
@@ -520,34 +564,49 @@ func (s *Service) Restore(id string, snap *TenantSnapshot) (*Tenant, error) {
 		session.Close()
 		return nil, fmt.Errorf("%w: %q", ErrTenantExists, id)
 	}
-	t := s.adopt(id, snap.Config, cfg, session)
-	t.seq = snap.Seq
-	res := session.Result()
-	t.snap.Store(&Snapshot{Seq: snap.Seq, Res: res, Routes: s.buildRoutes(t.snap.Load(), res, id)})
-	return t, nil
+	return s.adopt(id, snap.Config, cfg, session, snap.Seq), nil
 }
 
-// buildRoutes compiles the routing index published with a snapshot,
-// rebuilding incrementally from the previous snapshot's index when one
-// exists (unchanged regions keep their compiled form).
-func (s *Service) buildRoutes(prev *Snapshot, res *core.Result, tenant string) *routeidx.Index {
-	if prev != nil && prev.Routes != nil {
-		return prev.Routes.Rebuild(res)
+// sameFaults reports whether the view's fault plane holds exactly fs.
+func sameFaults(v *core.View, fs *grid.PointSet) bool {
+	if v.FaultCount() != fs.Len() {
+		return false
 	}
-	return routeidx.Compile(res, routing.ModelRegions, routeidx.Options{Recorder: s.opts.Recorder, Tenant: tenant})
+	same := true
+	fs.Each(func(p grid.Point) { same = same && v.IsFaulty(p) })
+	return same
 }
 
-// adopt wires a freshly built session into the registry. Caller holds
-// s.mu.
-func (s *Service) adopt(id string, tcfg TenantConfig, cfg core.Config, session *core.Session) *Tenant {
-	t := &Tenant{id: id, cfg: cfg, tcfg: tcfg, svc: s, shard: s.shardFor(id), session: session}
-	res := session.Result()
-	t.snap.Store(&Snapshot{Seq: 0, Res: res, Routes: s.buildRoutes(nil, res, id)})
+// publishSnapshot stores the session's current state as the tenant's
+// snapshot at seq: a copy-on-write view sharing every clean page with
+// the previous snapshot, and the routing index rebuilt incrementally
+// from the previous snapshot's (unchanged regions keep their compiled
+// form). Shard loop, or adopt before the tenant is published, only.
+func (t *Tenant) publishSnapshot(seq uint64) {
+	view := t.session.View()
+	var routes *routeidx.Index
+	if prev := t.snap.Load(); prev != nil {
+		routes = prev.Routes.Rebuild(view)
+	} else {
+		routes = routeidx.Compile(view, routing.ModelRegions, routeidx.Options{Recorder: t.svc.opts.Recorder, Tenant: t.id})
+	}
+	t.snap.Store(&Snapshot{Seq: seq, View: view, Routes: routes})
+}
+
+// adopt wires a freshly built session into the registry, publishing its
+// first snapshot at seq (0 for a create, the snapshot's sequence for a
+// restore). Caller holds s.mu.
+func (s *Service) adopt(id string, tcfg TenantConfig, cfg core.Config, session *core.Session, seq uint64) *Tenant {
+	rec := s.opts.Recorder
+	t := &Tenant{
+		id: id, cfg: cfg, tcfg: tcfg, svc: s, shard: s.shardFor(id), session: session, seq: seq,
+		requests: rec.Counter("serve_tenant_requests:" + id),
+		busyNS:   rec.Counter("serve_tenant_busy_ns:" + id),
+	}
+	t.publishSnapshot(seq)
 	s.tenants[id] = t
-	if rec := s.opts.Recorder; rec != nil {
-		rec.Counter("serve_tenants_created").Inc()
-		rec.Gauge("serve_tenants").Set(float64(len(s.tenants)))
-	}
+	s.metrics.tenantsCreated.Inc()
+	s.metrics.tenants.Set(float64(len(s.tenants)))
 	return t
 }
 
@@ -563,9 +622,7 @@ func (s *Service) Delete(id string) error {
 	t, ok := s.tenants[id]
 	if ok {
 		delete(s.tenants, id)
-		if rec := s.opts.Recorder; rec != nil {
-			rec.Gauge("serve_tenants").Set(float64(len(s.tenants)))
-		}
+		s.metrics.tenants.Set(float64(len(s.tenants)))
 	}
 	if ok {
 		s.inflight.Add(1)
@@ -625,7 +682,7 @@ func (s *Service) Apply(id, op string, points []grid.Point) (Response, error) {
 		s.mu.RUnlock()
 		return Response{}, fmt.Errorf("%w: %q", ErrTenantNotFound, id)
 	}
-	topo := t.Snapshot().Res.Topo
+	topo := t.Snapshot().View.Topology()
 	for _, p := range points {
 		if !topo.Contains(p) {
 			s.mu.RUnlock()
@@ -670,7 +727,7 @@ func (t *Tenant) Route(src, dst grid.Point, modelName, routerName string) (routi
 	if err != nil {
 		return nil, snap, err
 	}
-	g := routing.NewGraph(snap.Res, model)
+	g := routing.NewGraph(snap.View, model)
 	if err := g.CheckEndpoints(src, dst); err != nil {
 		return nil, snap, err
 	}
@@ -720,7 +777,7 @@ func (t *Tenant) RouteMany(qs []routeidx.Query, modelName, routerName string, pa
 		}
 		return snap.Routes.RouteMany(qs, routeidx.BatchOptions{Paths: paths}), snap, nil
 	case "detour":
-		g := routing.NewGraph(snap.Res, model)
+		g := routing.NewGraph(snap.View, model)
 		answers := make([]routeidx.Answer, len(qs))
 		var buf routing.Path
 		for i, q := range qs {
@@ -753,7 +810,7 @@ func (t *Tenant) DisjointPaths(src, dst grid.Point, k int, modelName string) (ro
 	if k < 1 || k > 8 {
 		return routing.DisjointResult{}, snap, fmt.Errorf("%w: k must be in [1, 8], got %d", ErrBadDelta, k)
 	}
-	out, err := routing.KDisjointPaths(routing.NewGraph(snap.Res, model), src, dst, k)
+	out, err := routing.KDisjointPaths(routing.NewGraph(snap.View, model), src, dst, k)
 	return out, snap, err
 }
 
@@ -852,9 +909,7 @@ func (s *Service) apply(sh *shard, batch []request) {
 	for _, t := range order {
 		s.applyTenant(sh, t, byTenant[t])
 	}
-	if rec := s.opts.Recorder; rec != nil {
-		rec.Histogram("serve_batch_requests", nil).Observe(float64(len(batch)))
-	}
+	s.metrics.batchRequests.Observe(float64(len(batch)))
 	if s.stages != nil {
 		s.stages.shardDepth[sh.idx-1].Set(float64(len(sh.ch)))
 	}
@@ -934,8 +989,7 @@ func (s *Service) applyTenant(sh *shard, t *Tenant, reqs []request) {
 	// atomically at the new sequence number.
 	seq := t.seq
 	if mutated {
-		res := t.session.Result()
-		t.snap.Store(&Snapshot{Seq: seq, Res: res, Routes: s.buildRoutes(t.snap.Load(), res, t.id)})
+		t.publishSnapshot(seq)
 	}
 	dur := time.Since(start)
 	for _, dn := range dones {
@@ -1009,12 +1063,13 @@ func (s *Service) applyTenant(sh *shard, t *Tenant, reqs []request) {
 		}
 	}
 	if rec != nil && mutated {
-		rec.Counter("serve_deltas").Add(int64(len(reqs)))
-		rec.Counter("serve_batches").Inc()
-		rec.Counter("serve_tenant_requests:" + t.id).Add(int64(len(reqs)))
-		rec.Counter("serve_tenant_busy_ns:" + t.id).Add(dur.Nanoseconds())
-		rec.Histogram("serve_batch_size", nil).Observe(float64(len(reqs)))
-		rec.Histogram("serve_delta_ns", obs.NSBuckets).Observe(float64(dur.Nanoseconds()))
+		m := &s.metrics
+		m.deltas.Add(int64(len(reqs)))
+		m.batches.Inc()
+		t.requests.Add(int64(len(reqs)))
+		t.busyNS.Add(dur.Nanoseconds())
+		m.batchSize.Observe(float64(len(reqs)))
+		m.deltaNS.Observe(float64(dur.Nanoseconds()))
 		rec.Emit(obs.Event{
 			Type: obs.EServeBatch, Tenant: t.id, N: len(reqs), Rounds: int(seq),
 			Shard: sh.idx, Depth: len(sh.ch), DurNS: dur.Nanoseconds(),

@@ -105,12 +105,11 @@ type TenantSnapshot struct {
 // snapshotVersion is the serialization format version.
 const snapshotVersion = 1
 
-// TakeSnapshot serializes the tenant's current published state.
+// TakeSnapshot serializes the tenant's current published state,
+// encoding the view's pages directly.
 func (t *Tenant) TakeSnapshot() *TenantSnapshot {
 	snap := t.Snapshot()
-	res := snap.Res
-	pts := res.Faults.Points()
-	grid.SortPoints(pts)
+	pts := snap.View.FaultPoints() // row-major, the canonical order
 	faults := make([][2]int, len(pts))
 	for i, p := range pts {
 		faults[i] = [2]int{p.X, p.Y}
@@ -121,8 +120,8 @@ func (t *Tenant) TakeSnapshot() *TenantSnapshot {
 		Config:  t.tcfg,
 		Seq:     snap.Seq,
 		Faults:  faults,
-		Unsafe:  packPlane(res.Topo, res.Unsafe),
-		Enabled: packPlane(res.Topo, res.Enabled),
+		Unsafe:  encodePlane(snap.View.UnsafePlane()),
+		Enabled: encodePlane(snap.View.EnabledPlane()),
 	}
 	ts.Checksum = ts.checksum()
 	return ts
@@ -138,8 +137,8 @@ func (ts *TenantSnapshot) RestoreSession(maxNodes int) (*core.Session, core.Conf
 	if ts.Version != snapshotVersion {
 		return nil, cfg, fmt.Errorf("%w: snapshot version %d (want %d)", ErrBadDelta, ts.Version, snapshotVersion)
 	}
-	if cfg.Width*cfg.Height > maxNodes {
-		return nil, cfg, fmt.Errorf("%w: %dx%d > %d nodes", ErrTooLarge, cfg.Width, cfg.Height, maxNodes)
+	if err := checkSize(cfg.Width, cfg.Height, maxNodes); err != nil {
+		return nil, cfg, err
 	}
 	if got, want := ts.checksum(), ts.Checksum; got != want {
 		return nil, cfg, fmt.Errorf("%w: snapshot checksum %s, computed %s", ErrBadDelta, want, got)
@@ -197,20 +196,24 @@ func (ts *TenantSnapshot) checksum() string {
 	return fmt.Sprintf("fnv64a:%016x", h.Sum64())
 }
 
-// packPlane packs a row-major label vector into the BitGrid word layout
-// and encodes the words little-endian base64.
-func packPlane(topo *mesh.Topology, labels []bool) string {
-	bg := grid.NewBitGrid(topo.Width(), topo.Height())
-	bg.SetBools(labels)
-	words := bg.Words()
-	raw := make([]byte, 8*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(raw[8*i:], w)
+// checkSize rejects a width x height mesh (both positive) of more than
+// maxNodes nodes. It divides instead of multiplying, so dimensions whose
+// product overflows int are rejected too rather than wrapping past the
+// limit.
+func checkSize(width, height, maxNodes int) error {
+	if width > maxNodes/height {
+		return fmt.Errorf("%w: %dx%d > %d nodes", ErrTooLarge, width, height, maxNodes)
 	}
-	return base64.StdEncoding.EncodeToString(raw)
+	return nil
 }
 
-// unpackPlane is the inverse of packPlane, validating the exact word
+// encodePlane encodes a packed plane's words little-endian base64, the
+// wire form of both label planes.
+func encodePlane(p *grid.PagedBits) string {
+	return base64.StdEncoding.EncodeToString(p.AppendLE(make([]byte, 0, 8*p.Words())))
+}
+
+// unpackPlane is the inverse of encodePlane, validating the exact word
 // count and the padding-bits-zero invariant.
 func unpackPlane(topo *mesh.Topology, s string) ([]bool, error) {
 	raw, err := base64.StdEncoding.DecodeString(s)

@@ -18,11 +18,11 @@ import (
 // Field keeps one per phase for the lifetime of its fault deltas,
 // updating labels and liveness in O(delta) between runs.
 //
-// Label mutations go through SetLabel, which feeds a dirty-word set
-// (grid.BitGrid.Track); RunBitsetFrontier drains it into the first
-// wave's word worklist, so every word the caller touched since the last
-// run is scanned even when the corresponding seed lanes were deduped or
-// dropped.
+// Label mutations go through SetLabel or Set on Grid(), which feed a
+// dirty-word set (grid.BitGrid.Track); RunBitsetFrontier drains it into
+// the first wave's word worklist, so every word the caller touched
+// since the last run is scanned even when the corresponding seed lanes
+// were deduped or dropped.
 type BitField struct {
 	w, h, wpr int
 	lastLane  uint // lane of column width-1 in a row's last word
@@ -108,6 +108,10 @@ func (f *BitField) SetLive(i int, live bool) {
 	}
 	f.dirty.Add(wi)
 }
+
+// Grid returns the packed label plane itself. Writes through it must
+// go through grid.BitGrid.Set, which keeps the dirty-word set current.
+func (f *BitField) Grid() *grid.BitGrid { return f.labels }
 
 // Bools appends the packed labels as a row-major []bool, see
 // grid.BitGrid.Bools.

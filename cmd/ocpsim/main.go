@@ -64,9 +64,8 @@ func run(args []string, out io.Writer) (retErr error) {
 		reps    = fs.Int("reps", 20, "replications per sweep point")
 		seed    = fs.Int64("seed", 1, "base random seed")
 		torus   = fs.Bool("torus", false, "use a 2-D torus instead of a mesh")
-		engine  = fs.String("engine", "sequential", "fixpoint engine: sequential, channels, parallel, or bitset (all result-identical)")
-		chans   = fs.Bool("channels", false, "deprecated alias for -engine channels")
-		workers = fs.Int("workers", 0, "parallel sweep workers, and the tile count of -engine parallel/bitset (0 = GOMAXPROCS)")
+		engine  = fs.String("engine", "sequential", "fixpoint engine: sequential, channels, or bitset (all result-identical)")
+		workers = fs.Int("workers", 0, "parallel sweep workers, and the row-band count of -engine bitset (0 = GOMAXPROCS)")
 		format  = fs.String("format", "ascii", "output format: ascii or csv")
 		width   = fs.Int("width", 60, "ascii plot width")
 
@@ -83,7 +82,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	if *n < 1 {
 		return fmt.Errorf("mesh side must be >= 1, got %d", *n)
 	}
-	eng, err := parseEngine(*engine, *chans)
+	eng, err := parseEngine(*engine)
 	if err != nil {
 		return err
 	}
@@ -136,7 +135,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		Replications: *reps, Seed: *seed, Workers: *workers, Recorder: rec,
 		Engine: eng, Costs: fabric, StrictInvariants: *strict,
 	}
-	if eng == core.EngineParallel || eng == core.EngineBitset {
+	if eng == core.EngineBitset {
 		cfg.EngineWorkers = *workers
 	}
 	if *torus {
@@ -193,23 +192,17 @@ func servePprof(addr string, rec *obs.Recorder) {
 	}()
 }
 
-// parseEngine maps the -engine flag (and the deprecated -channels alias)
-// onto an engine kind.
-func parseEngine(name string, channelsAlias bool) (core.EngineKind, error) {
+// parseEngine maps the -engine flag onto an engine kind.
+func parseEngine(name string) (core.EngineKind, error) {
 	switch name {
 	case "", "sequential":
-		if channelsAlias {
-			return core.EngineChannels, nil
-		}
 		return core.EngineSequential, nil
 	case "channels":
 		return core.EngineChannels, nil
-	case "parallel":
-		return core.EngineParallel, nil
 	case "bitset":
 		return core.EngineBitset, nil
 	default:
-		return 0, fmt.Errorf("unknown engine %q (want sequential, channels, parallel, or bitset)", name)
+		return 0, fmt.Errorf("unknown engine %q (want sequential, channels, or bitset)", name)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestRunCSV(t *testing.T) {
 func TestRunTorusAndChannels(t *testing.T) {
 	var b strings.Builder
 	err := run([]string{"-figure", "5b", "-n", "10", "-maxf", "5", "-step", "5", "-reps", "1",
-		"-torus", "-channels"}, &b)
+		"-torus", "-engine", "channels"}, &b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRunTorusAndChannels(t *testing.T) {
 }
 
 func TestRunEngineFlag(t *testing.T) {
-	for _, eng := range []string{"sequential", "channels", "parallel", "bitset"} {
+	for _, eng := range []string{"sequential", "channels", "bitset"} {
 		var b strings.Builder
 		err := run([]string{"-figure", "5a", "-n", "10", "-maxf", "5", "-step", "5", "-reps", "1",
 			"-engine", eng, "-workers", "2"}, &b)
@@ -67,34 +67,29 @@ func TestRunEngineFlag(t *testing.T) {
 
 func TestParseEngine(t *testing.T) {
 	cases := []struct {
-		name  string
-		alias bool
-		want  string
-		err   bool
+		name string
+		want string
+		err  bool
 	}{
-		{"sequential", false, "sequential", false},
-		{"", false, "sequential", false},
-		{"", true, "channels", false},
-		{"sequential", true, "channels", false},
-		{"channels", false, "channels", false},
-		{"parallel", false, "parallel", false},
-		{"parallel", true, "parallel", false},
-		{"bitset", false, "bitset", false},
-		{"bitset", true, "bitset", false},
-		{"warp", false, "", true},
+		{"sequential", "sequential", false},
+		{"", "sequential", false},
+		{"channels", "channels", false},
+		{"bitset", "bitset", false},
+		{"parallel", "", true},
+		{"warp", "", true},
 	}
 	for _, c := range cases {
-		eng, err := parseEngine(c.name, c.alias)
+		eng, err := parseEngine(c.name)
 		if c.err {
 			if err == nil {
-				t.Errorf("parseEngine(%q, %v): want error", c.name, c.alias)
+				t.Errorf("parseEngine(%q): want error", c.name)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("parseEngine(%q, %v): %v", c.name, c.alias, err)
+			t.Errorf("parseEngine(%q): %v", c.name, err)
 		} else if eng.String() != c.want {
-			t.Errorf("parseEngine(%q, %v) = %s, want %s", c.name, c.alias, eng, c.want)
+			t.Errorf("parseEngine(%q) = %s, want %s", c.name, eng, c.want)
 		}
 	}
 }

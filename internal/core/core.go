@@ -42,12 +42,6 @@ const (
 	// EngineChannels is the distributed simulation: one goroutine per
 	// nonfaulty node, channels for links, lock-step rounds.
 	EngineChannels
-	// EngineParallel is the tiled parallel engine: the mesh is split into
-	// row bands, one worker goroutine per band, with double-buffered
-	// labels and a per-round barrier. Results are identical to
-	// EngineSequential at any worker count; Config.Workers sets the
-	// band count (0 = GOMAXPROCS).
-	EngineParallel
 	// EngineBitset is the bit-packed word-parallel (SWAR) engine: labels
 	// live 64 per uint64 word and each round advances whole words with
 	// shift/mask operations, with a changed-word frontier so late rounds
@@ -62,8 +56,6 @@ func (e EngineKind) String() string {
 	switch e {
 	case EngineChannels:
 		return "channels"
-	case EngineParallel:
-		return "parallel"
 	case EngineBitset:
 		return "bitset"
 	default:
@@ -75,8 +67,6 @@ func (e EngineKind) engine(workers int) simnet.Engine {
 	switch e {
 	case EngineChannels:
 		return simnet.Channels()
-	case EngineParallel:
-		return simnet.Parallel(workers)
 	case EngineBitset:
 		return simnet.Bitset(workers)
 	default:
@@ -99,12 +89,11 @@ type Config struct {
 	Connectivity region.Connectivity
 	// Engine selects the fixpoint engine.
 	Engine EngineKind
-	// Workers is the worker (tile) count of EngineParallel and
-	// EngineBitset and of a Session's parallel frontier recomputation;
-	// 0 means GOMAXPROCS. Form ignores it under the sequential and
-	// channel engines; NewSession rejects Workers > 1 with those engines
-	// as a config error, since a Session would otherwise silently run
-	// every delta sequentially.
+	// Workers is the row-band count of EngineBitset; 0 means
+	// GOMAXPROCS. Form ignores it under the sequential and channel
+	// engines; NewSession and RestoreSession reject Workers > 1 with
+	// those engines as a config error, since the setting would silently
+	// do nothing.
 	Workers int
 	// MaxRounds bounds each phase (0 = automatic safe bound).
 	MaxRounds int
@@ -124,6 +113,17 @@ type Config struct {
 	// from Form (the CI mode). With a nil Costs fabric, a private one is
 	// created so the monitors still run.
 	StrictInvariants bool
+}
+
+// validate is the one check of Config fields whose meaning depends on
+// the engine. Sessions call it before any work; Form tolerates the
+// combinations it rejects.
+func (cfg Config) validate() error {
+	if cfg.Workers > 1 && cfg.Engine != EngineBitset {
+		return fmt.Errorf("Workers=%d has no effect with the %s engine; select EngineBitset, or leave Workers unset",
+			cfg.Workers, cfg.Engine)
+	}
+	return nil
 }
 
 // Result is the outcome of a formation run.
@@ -174,7 +174,7 @@ func FormOn(cfg Config, topo *mesh.Topology, faults *grid.PointSet) (*Result, er
 		return nil, err
 	}
 	eng := cfg.Engine.engine(cfg.Workers)
-	// Both phases share one worker pool: the tiled engines spawn their
+	// Both phases share one worker pool: the bitset engine spawns its
 	// goroutines once here instead of once per phase, and every exit
 	// path (including phase errors) tears them down.
 	var pool *simnet.WorkerPool
@@ -262,12 +262,12 @@ func runPhase(rec *obs.Recorder, cfg Config, eng simnet.Engine, env *simnet.Env,
 	return res, nil
 }
 
-// formWorkers returns the tile count FormOn's engine will actually use
-// — cfg.Workers defaulting to GOMAXPROCS, capped at the mesh height
-// since the tiled engines never split a row — so the shared worker pool
-// can be sized to match. Engines without tiles get 0 (no pool).
+// formWorkers returns the row-band count FormOn's engine will actually
+// use — cfg.Workers defaulting to GOMAXPROCS, capped at the mesh height
+// since the bitset engine never splits a row — so the shared worker
+// pool can be sized to match. Engines without bands get 0 (no pool).
 func formWorkers(cfg Config, height int) int {
-	if cfg.Engine != EngineParallel && cfg.Engine != EngineBitset {
+	if cfg.Engine != EngineBitset {
 		return 0
 	}
 	w := cfg.Workers

@@ -47,11 +47,10 @@ type Config struct {
 	Connectivity region.Connectivity
 	// MaxRounds bounds each fixpoint (0 = automatic safe bound).
 	MaxRounds int
-	// Workers, when above one, runs the initial full formation on the
-	// tiled parallel engine and fans each frontier wave of a delta out
-	// over that many goroutines (simnet.RunParallelFrontierGeneric).
-	// Results are bit-for-bit identical at any worker count; 0 or 1 keeps
-	// everything sequential.
+	// Workers is the row-band count of the Bitset engine's full
+	// formation runs (0 = GOMAXPROCS). Results are bit-for-bit identical
+	// at any worker count. Without Bitset it is ignored: the field runs
+	// sequentially.
 	Workers int
 	// Bitset runs the initial full formation on the bit-packed
 	// word-parallel engine (simnet.RunBitsetGeneric) with Workers row
@@ -124,7 +123,7 @@ type Field struct {
 	frozen Planes
 
 	// pool is the worker pool the full formation runs fan out over; nil
-	// when the configuration runs single-tile. Released by Close.
+	// when the configuration runs a single band. Released by Close.
 	pool *simnet.WorkerPool
 
 	// rounds of the initial full formation (reported by Session.Result
@@ -245,11 +244,11 @@ func Load(topo *mesh.Topology, faults *grid.PointSet, cfg Config, unsafe, enable
 }
 
 // poolWorkers sizes the field's shared worker pool: the configured
-// count (0 = GOMAXPROCS) capped at the tile limit (one row band per
-// tile). Single-tile configurations and the sequential engine need no
+// count (0 = GOMAXPROCS) capped at the mesh height (one row per band at
+// least). Single-band configurations and the sequential engine need no
 // pool.
 func poolWorkers(cfg Config, height int) int {
-	if !cfg.Bitset && cfg.Workers <= 1 {
+	if !cfg.Bitset {
 		return 1
 	}
 	w := cfg.Workers
@@ -284,8 +283,7 @@ func (f *Field) newPhase(phase string) *costs.Phase {
 }
 
 // runFull computes one full synchronous fixpoint: on the bitset engine
-// when configured, else on the tiled parallel engine when the field has
-// more than one worker, else sequentially.
+// when configured, else sequentially.
 func (f *Field) runFull(env *simnet.Env, rule simnet.Rule, phase string) (*simnet.GenericResult[bool], error) {
 	pc := f.newPhase(phase)
 	opt := f.genericOpts(phase, pc)
@@ -293,12 +291,9 @@ func (f *Field) runFull(env *simnet.Env, rule simnet.Rule, phase string) (*simne
 		res *simnet.GenericResult[bool]
 		err error
 	)
-	switch {
-	case f.cfg.Bitset:
+	if f.cfg.Bitset {
 		res, err = simnet.RunBitsetGeneric(env, rule, opt, f.cfg.Workers)
-	case f.cfg.Workers > 1:
-		res, err = simnet.RunParallelGeneric[bool](env, rule, opt, f.cfg.Workers)
-	default:
+	} else {
 		res, err = simnet.RunSequentialGeneric[bool](env, rule, opt)
 	}
 	if err != nil {
@@ -311,9 +306,8 @@ func (f *Field) runFull(env *simnet.Env, rule simnet.Rule, phase string) (*simne
 // runFrontier restabilizes labels from the given seed: over the packed
 // word-granularity engine when bits is non-nil (the []bool mirror is
 // re-synced from the changed set afterwards, keeping both views
-// identical in O(changed)), else over the node-granularity engine,
-// fanning waves out over the configured worker count. Either way the
-// changed set also lands in the publish plane pl.
+// identical in O(changed)), else over the node-granularity engine.
+// Either way the changed set also lands in the publish plane pl.
 func (f *Field) runFrontier(env *simnet.Env, rule simnet.Rule, labels []bool, bits *simnet.BitField, pl *plane, seed []int, phase string) (*simnet.FrontierResult, error) {
 	pc := f.newPhase(phase)
 	opt := f.genericOpts(phase, pc)
@@ -321,12 +315,9 @@ func (f *Field) runFrontier(env *simnet.Env, rule simnet.Rule, labels []bool, bi
 		res *simnet.FrontierResult
 		err error
 	)
-	switch {
-	case bits != nil:
+	if bits != nil {
 		res, err = simnet.RunBitsetFrontier(env, rule, bits, seed, opt)
-	case f.cfg.Workers > 1:
-		res, err = simnet.RunParallelFrontierGeneric[bool](env, rule, labels, seed, opt, f.cfg.Workers)
-	default:
+	} else {
 		res, err = simnet.RunFrontierGeneric[bool](env, rule, labels, seed, opt)
 	}
 	if err != nil {

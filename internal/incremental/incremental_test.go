@@ -144,7 +144,6 @@ func TestTorusSeamRemoval(t *testing.T) {
 		{},
 		{Safety: status.Def2a},
 		{Connectivity: region.Conn4},
-		{Workers: 3},
 	}
 	for name, pts := range groups {
 		for ci, cfg := range configs {

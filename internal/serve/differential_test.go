@@ -8,6 +8,7 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -21,7 +22,7 @@ import (
 	"ocpmesh/internal/simnet/simnettest"
 )
 
-var engineNames = []string{"sequential", "channels", "parallel", "bitset"}
+var engineNames = []string{"sequential", "channels", "bitset"}
 
 // assertServedMatchesFresh pins the served snapshot of tn against a
 // from-scratch formation on the same fault set: identical fault set,
@@ -301,4 +302,61 @@ func TestServeSnapshotRejectsCorruption(t *testing.T) {
 	if _, err := svc.Restore("dst-ok", base); err != nil {
 		t.Fatalf("pristine snapshot refused: %v", err)
 	}
+}
+
+// TestServeSnapshotRestoresParallelAsBitset pins the one compatibility path
+// for the removed tiled parallel engine: a snapshot whose config names
+// engine "parallel" restores as a bitset tenant. The checksum covers
+// only the planes and faults, so it still verifies, and the restored
+// labels are byte-identical to a fresh formation.
+func TestServeSnapshotRestoresParallelAsBitset(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	svc := serve.New(serve.Options{Shards: 1})
+	defer svc.Close()
+
+	topo := mesh.MustNew(20, 14, mesh.Mesh2D)
+	faults := simnettest.RandomFaultCount(rng, topo, 25)
+	tn, _, err := svc.Create("src", serve.TenantConfig{Width: 20, Height: 14, Engine: "bitset"}, faults.Points())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := tn.TakeSnapshot()
+
+	// Rewrite config.engine in the JSON form, as an old snapshot has it.
+	raw, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["config"].(map[string]any)["engine"] = "parallel"
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	var legacy serve.TenantSnapshot
+	if err := json.Unmarshal(raw, &legacy); err != nil {
+		t.Fatal(err)
+	}
+
+	restored, err := svc.Restore("legacy", &legacy)
+	if err != nil {
+		t.Fatalf("legacy snapshot refused: %v", err)
+	}
+	cfg, err := restored.Config().CoreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Engine != core.EngineBitset {
+		t.Fatalf("legacy engine restored as %s, want bitset", cfg.Engine)
+	}
+	got := restored.TakeSnapshot()
+	if got.Checksum != base.Checksum {
+		t.Fatalf("restored checksum %s, want %s", got.Checksum, base.Checksum)
+	}
+	if got.Unsafe != base.Unsafe || got.Enabled != base.Enabled {
+		t.Fatal("restored label planes differ from the snapshot's")
+	}
+	assertServedMatchesFresh(t, "legacy restored", restored)
 }

@@ -22,7 +22,7 @@ import (
 
 // newTestServer returns an httptest server over a fresh service plus a
 // cleanup-registered Close.
-func newTestServer(t *testing.T, opts serve.Options) (*httptest.Server, *serve.Service) {
+func newTestServer(t testing.TB, opts serve.Options) (*httptest.Server, *serve.Service) {
 	t.Helper()
 	svc := serve.New(opts)
 	srv := serve.NewServer(svc, nil)
@@ -207,6 +207,10 @@ func TestHTTPErrorPaths(t *testing.T) {
 			serve.CreateRequest{ID: "flat", Config: serve.TenantConfig{Width: 0, Height: 4}}, 400},
 		{"bad engine", "POST", "/api/tenants",
 			serve.CreateRequest{ID: "eng", Config: serve.TenantConfig{Width: 4, Height: 4, Engine: "quantum"}}, 400},
+		{"workers with sequential engine", "POST", "/api/tenants",
+			serve.CreateRequest{ID: "wseq", Config: serve.TenantConfig{Width: 4, Height: 4, Engine: "sequential", Workers: 2}}, 400},
+		{"torus below 3x3", "POST", "/api/tenants",
+			serve.CreateRequest{ID: "tiny", Config: serve.TenantConfig{Width: 2, Height: 2, Torus: true}}, 400},
 		{"fault outside mesh", "POST", "/api/tenants",
 			serve.CreateRequest{ID: "out", Config: serve.TenantConfig{Width: 4, Height: 4},
 				Faults: [][2]int{{9, 9}}}, 400},
@@ -222,6 +226,34 @@ func TestHTTPErrorPaths(t *testing.T) {
 		}
 		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 			t.Errorf("%s: error content type %q, want JSON", tc.name, ct)
+		}
+	}
+}
+
+// TestHTTPRestoreRejectsWorkersWithoutBands: a snapshot that is intact
+// (its checksum covers only planes and faults) but whose config asks for
+// Workers with an engine that has no row bands is refused by core, and
+// the refusal is a 400 like the same config on create.
+func TestHTTPRestoreRejectsWorkersWithoutBands(t *testing.T) {
+	ts, _ := newTestServer(t, serve.Options{Shards: 1})
+	if resp, _ := doJSON(t, "POST", ts.URL+"/api/tenants", serve.CreateRequest{
+		ID: "b", Config: serve.TenantConfig{Width: 8, Height: 8}, Faults: [][2]int{{3, 3}},
+	}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d", resp.StatusCode)
+	}
+	resp, body := doJSON(t, "GET", ts.URL+"/api/tenants/b/snapshot", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: %d", resp.StatusCode)
+	}
+	var snap serve.TenantSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{"sequential", "channels"} {
+		snap.Config.Engine, snap.Config.Workers = engine, 2
+		resp, body := doJSON(t, "POST", ts.URL+"/api/tenants/w-"+engine+"/restore", snap)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "Workers=2") {
+			t.Fatalf("%s restore with workers=2: %d %s, want 400 naming Workers=2", engine, resp.StatusCode, body)
 		}
 	}
 }
@@ -448,6 +480,37 @@ func FuzzServeDelta(f *testing.F) {
 		}
 		if req2.Op != req.Op || len(req2.Points) != len(req.Points) {
 			t.Fatal("round trip changed the request")
+		}
+	})
+}
+
+// FuzzTenantCreate fuzzes the TenantConfig body of tenant create over
+// HTTP against a service with a small node budget: every input must be
+// answered 2xx, 400 or 413 — never a 5xx, a 409 or a panic. Accepted
+// tenants are deleted again so each input meets an empty registry.
+func FuzzTenantCreate(f *testing.F) {
+	f.Add([]byte(`{"width":4294967296,"height":4294967296}`))
+	f.Add([]byte(`{"width":8,"height":8,"engine":"parallel"}`))
+	f.Add([]byte(`{"width":8,"height":8,"engine":"sequential","workers":2}`))
+	f.Add([]byte(`{"width":8,"height":8,"engine":"channels","workers":3,"torus":true}`))
+	f.Add([]byte(`{"width":2,"height":2,"torus":true}`))
+	f.Add([]byte(`{"width":16,"height":16,"safety":"2a","connectivity":4,"workers":-1}`))
+	f.Add([]byte(`{"width":64,"height":64}`))
+	f.Add([]byte(`{"width":0,"height":5}`))
+	f.Add([]byte(`{"width":"8"}`))
+	f.Add([]byte(`null`))
+	ts, _ := newTestServer(f, serve.Options{Shards: 1, MaxMeshNodes: 1024})
+	f.Fuzz(func(t *testing.T, config []byte) {
+		body := append(append([]byte(`{"id":"fz","config":`), config...), '}')
+		resp, out := doJSON(t, "POST", ts.URL+"/api/tenants", body)
+		switch code := resp.StatusCode; {
+		case code >= 200 && code < 300:
+			if resp, _ := doJSON(t, "DELETE", ts.URL+"/api/tenants/fz", nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("delete after create: %d", resp.StatusCode)
+			}
+		case code == http.StatusBadRequest, code == http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("config %q: status %d (%s), want 2xx, 400 or 413", config, code, out)
 		}
 	})
 }

@@ -522,7 +522,10 @@ func (s *Service) Create(id string, tcfg TenantConfig, faults []grid.Point) (t *
 
 	session, err := core.NewSession(cfg, faults)
 	if err != nil {
-		return nil, false, err
+		// Everything core can reject here came from the request: engine
+		// and field combinations (Workers with a bandless engine) and
+		// mesh shapes (a torus below 3x3).
+		return nil, false, fmt.Errorf("%w: %v", ErrBadDelta, err)
 	}
 	s.mu.Lock()
 	if s.closed {

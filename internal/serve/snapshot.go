@@ -26,17 +26,20 @@ type TenantConfig struct {
 	Safety string `json:"safety,omitempty"`
 	// Connectivity is 4 or 8 (default 8).
 	Connectivity int `json:"connectivity,omitempty"`
-	// Engine is "sequential", "channels", "parallel" or "bitset"
-	// (default "bitset": the serving layer exists for batched word-
-	// parallel deltas).
+	// Engine is "sequential", "channels" or "bitset" (default "bitset":
+	// the serving layer exists for batched word-parallel deltas).
+	// "parallel", the name of a removed engine, still selects bitset so
+	// snapshots that carry it keep restoring.
 	Engine string `json:"engine,omitempty"`
-	// Workers is the tile/worker count of the parallel and bitset
-	// engines (0 = GOMAXPROCS).
+	// Workers is the row-band count of the bitset engine
+	// (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 }
 
 // CoreConfig maps the JSON form onto a core.Config, validating every
-// enum.
+// enum. Combinations of fields are left to core, whose session
+// constructors reject them (Create and Restore report that as
+// ErrBadDelta).
 func (c TenantConfig) CoreConfig() (core.Config, error) {
 	cfg := core.Config{Width: c.Width, Height: c.Height, Workers: c.Workers}
 	if c.Width < 1 || c.Height < 1 {
@@ -62,19 +65,14 @@ func (c TenantConfig) CoreConfig() (core.Config, error) {
 		return cfg, fmt.Errorf("%w: connectivity %d (want 4 or 8)", ErrBadDelta, c.Connectivity)
 	}
 	switch c.Engine {
-	case "", "bitset":
+	case "", "bitset", "parallel":
 		cfg.Engine = core.EngineBitset
 	case "sequential":
 		cfg.Engine = core.EngineSequential
 	case "channels":
 		cfg.Engine = core.EngineChannels
-	case "parallel":
-		cfg.Engine = core.EngineParallel
 	default:
-		return cfg, fmt.Errorf("%w: engine %q (want sequential, channels, parallel, or bitset)", ErrBadDelta, c.Engine)
-	}
-	if cfg.Workers > 1 && cfg.Engine != core.EngineParallel && cfg.Engine != core.EngineBitset {
-		return cfg, fmt.Errorf("%w: workers=%d needs the parallel or bitset engine", ErrBadDelta, cfg.Workers)
+		return cfg, fmt.Errorf("%w: engine %q (want sequential, channels, or bitset)", ErrBadDelta, c.Engine)
 	}
 	return cfg, nil
 }
@@ -145,7 +143,7 @@ func (ts *TenantSnapshot) RestoreSession(maxNodes int) (*core.Session, core.Conf
 	}
 	topo, err := mesh.New(cfg.Width, cfg.Height, cfg.Kind)
 	if err != nil {
-		return nil, cfg, err
+		return nil, cfg, fmt.Errorf("%w: %v", ErrBadDelta, err)
 	}
 	faults := grid.NewPointSetCap(len(ts.Faults))
 	for _, f := range ts.Faults {
@@ -165,7 +163,9 @@ func (ts *TenantSnapshot) RestoreSession(maxNodes int) (*core.Session, core.Conf
 	}
 	session, err := core.RestoreSession(cfg, topo, faults, unsafe, enabled)
 	if err != nil {
-		return nil, cfg, err
+		// The config and planes came from the request; core rejects
+		// engine/field combinations and planes that are not a fixpoint.
+		return nil, cfg, fmt.Errorf("%w: %v", ErrBadDelta, err)
 	}
 	return session, cfg, nil
 }

@@ -3,12 +3,13 @@ package simnet
 import "fmt"
 
 // WorkerPool is a fixed-size pool of worker goroutines shared across
-// engine invocations. The tiled engines historically spawned a fresh
-// goroutine set per run and tore it down with an explicit stop fan-out
-// that error paths skipped, leaking workers; a WorkerPool is created
-// once (per formation, or per incremental Field for its lifetime of
-// deltas), passed in via Options.Pool / GenericOptions.Pool, and closed
-// exactly once by its owner — engines that receive one never spawn.
+// engine invocations; the multi-band bitset engine fans its row bands
+// out over it. Spawning a goroutine set per run, torn down by a stop
+// fan-out that error paths skipped, leaked workers; a WorkerPool is
+// created once (per formation, or per incremental Field for its
+// lifetime of deltas), passed in via Options.Pool / GenericOptions.Pool,
+// and closed exactly once by its owner — engines that receive one never
+// spawn.
 //
 // The pool is a plain jobs/done channel pair: Run dispatches a batch and
 // blocks until every job returned, which doubles as the engines' round
@@ -50,7 +51,7 @@ func (p *WorkerPool) Size() int { return p.size }
 // Run dispatches the jobs to the workers and blocks until all have
 // completed — a full barrier. len(fs) must not exceed Size (both
 // channels are sized to the pool, so larger batches could deadlock);
-// engines size their tile count to the pool they use.
+// the engine sizes its band count to the pool it uses.
 func (p *WorkerPool) Run(fs []func()) {
 	if len(fs) > p.size {
 		panic(fmt.Sprintf("simnet: WorkerPool.Run got %d jobs for %d workers", len(fs), p.size))

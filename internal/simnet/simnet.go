@@ -109,10 +109,10 @@ type Options struct {
 	// carries a tracker — records the last round each node's label
 	// changed. Independent of Recorder; a nil collector costs nothing.
 	Costs *costs.Phase
-	// Pool, when non-nil, is the worker pool the tiled engines fan out
-	// over instead of spawning goroutines per run; the caller owns it
-	// (and its Close). A pool too small for the run's tile count is
-	// ignored. Nil makes each run use a private pool.
+	// Pool, when non-nil, is the worker pool the bitset engine fans its
+	// row bands out over instead of spawning goroutines per run; the
+	// caller owns it (and its Close). A pool too small for the band
+	// count is ignored. Nil makes each run use a private pool.
 	Pool *WorkerPool
 }
 

@@ -42,7 +42,7 @@ func (flipRule) GhostLabel() bool                                    { return fa
 func (flipRule) FaultyLabel() bool                                   { return false }
 func (flipRule) Step(_ *Env, _ grid.Point, cur bool, _ [4]bool) bool { return !cur }
 
-func engines() []Engine { return []Engine{Sequential(), Channels(), Parallel(3)} }
+func engines() []Engine { return []Engine{Sequential(), Channels()} }
 
 func mustEnv(t *testing.T, topo *mesh.Topology, faults *grid.PointSet) *Env {
 	t.Helper()
@@ -223,7 +223,7 @@ func TestEnginesAgree(t *testing.T) {
 		env := mustEnv(t, topo, faults)
 
 		seq, seqEvents := traceRun(t, Sequential(), env, "p")
-		for _, eng := range []Engine{Channels(), Parallel(1), Parallel(2), Parallel(5)} {
+		for _, eng := range []Engine{Channels()} {
 			got, gotEvents := traceRun(t, eng, env, "p")
 			if seq.Rounds != got.Rounds {
 				t.Fatalf("trial %d (%v): rounds differ: seq=%d %s=%d",

@@ -48,9 +48,8 @@ type Config struct {
 	// Engine selects the fixpoint engine (sequential by default; the
 	// engines are result-equivalent, see simnet).
 	Engine core.EngineKind
-	// EngineWorkers is the per-formation tile count when Engine is
-	// core.EngineParallel or core.EngineBitset (0 = GOMAXPROCS). Other
-	// engines ignore it.
+	// EngineWorkers is the per-formation row-band count when Engine is
+	// core.EngineBitset (0 = GOMAXPROCS). Other engines ignore it.
 	EngineWorkers int
 	// Workers is the number of goroutines evaluating sweep cells
 	// concurrently; 0 means runtime.GOMAXPROCS(0). Each (f, replication)
